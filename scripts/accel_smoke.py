@@ -12,7 +12,20 @@ on ``accel-sequential`` -- and asserts:
 2. a python fallback recorded a user-facing ``backend_reason``;
 3. the scenario result JSON is bit-identical modulo the ``engine`` key
    (the docs/engines.md determinism guarantee, end to end through the
-   scenario layer).
+   scenario layer);
+4. on the compiled backend the fabric was *resident* in the kernel --
+   for the plain storm and for the same storm with ``[[faults]]``
+   (faults are adopted: bandwidth rescaling writes through and
+   fault-aware rerouting goes through the policy seam) -- and on the
+   python backend the run says ``fabric: "python"`` with a reason;
+5. (compiled only) 20 back-to-back storms leak nothing: the count of
+   gc-tracked objects is flat and RSS grows by less than 1 MB after the
+   second.
+
+``--build-sanitized`` instead rebuilds the kernel with UBSan (and
+``--asan`` AddressSanitizer) into ``UNION_ACCEL_CACHE`` under the key
+``load_kernel`` looks up, so that a following ``pytest tests/accel``
+with the same cache runs against the instrumented build.
 
 Exit 0 on success; any assertion is fatal.  Run directly:
 ``python scripts/accel_smoke.py --expect compiled``.
@@ -21,7 +34,10 @@ Exit 0 on success; any assertion is fatal.  Run directly:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import resource
 import sys
 from pathlib import Path
 
@@ -44,22 +60,75 @@ SCENARIO = {
 }
 
 
+FAULTS = [
+    {"name": "slow", "kind": "link-degrade", "start": 2e-4, "duration": 1e-3,
+     "router": 0, "router_b": 1, "factor": 0.25},
+    {"name": "cut", "kind": "link-down", "start": 4e-4, "duration": 2e-3,
+     "router": 8, "router_b": 9},
+]
+
+
+def rss_kb() -> int:
+    """Current resident set (not the peak) from /proc, in kB."""
+    with open(f"/proc/{os.getpid()}/statm") as fh:
+        return int(fh.read().split()[1]) * resource.getpagesize() // 1024
+
+
+def leak_drill(run) -> None:
+    """20 back-to-back storms: flat gc object count, RSS growth < 1 MB
+    after the second (the first two warm every cache)."""
+    counts, rss = [], []
+    for _ in range(20):
+        run()
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+        rss.append(rss_kb())
+    assert max(counts[1:]) - min(counts[1:]) <= 10, (
+        f"gc-tracked objects not flat across storms: {counts}")
+    growth = rss[-1] - rss[1]
+    assert growth < 1024, f"RSS grew {growth} kB across 18 storms: {rss}"
+    print(f"leak drill OK: {counts[-1]} gc objects flat, RSS +{growth} kB")
+
+
+def build_sanitized(asan: bool) -> int:
+    from repro.accel.build import build_into
+
+    assert os.environ.get("UNION_ACCEL_CACHE"), (
+        "point UNION_ACCEL_CACHE at a scratch directory first")
+    flags = ["-fsanitize=undefined", "-fno-sanitize-recover=undefined", "-g"]
+    if asan:
+        flags.insert(0, "-fsanitize=address")
+    print(f"sanitized kernel at {build_into(tuple(flags))}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--expect", choices=("compiled", "python"), default=None,
         help="assert the accel run used this backend (keeps the check "
              "non-vacuous in CI)")
+    parser.add_argument("--build-sanitized", action="store_true",
+                        help="only build a UBSan kernel into UNION_ACCEL_CACHE")
+    parser.add_argument("--asan", action="store_true",
+                        help="with --build-sanitized: AddressSanitizer too")
     args = parser.parse_args()
+    if args.build_sanitized:
+        return build_sanitized(args.asan)
 
     from repro.scenario import parse_scenario
     from repro.scenario.runner import run_scenario
 
-    seq = run_scenario(parse_scenario(dict(SCENARIO))).to_json_dict()
+    def run(engine=None, faults=None):
+        spec = dict(SCENARIO)
+        if engine is not None:
+            spec["engine"] = {"type": engine}
+        if faults is not None:
+            spec["faults"] = faults
+        return run_scenario(parse_scenario(spec)).to_json_dict()
 
-    accel_spec = dict(SCENARIO)
-    accel_spec["engine"] = {"type": "accel-sequential"}
-    accel = run_scenario(parse_scenario(accel_spec)).to_json_dict()
+    seq = run()
+    accel = run("accel-sequential")
 
     engine = accel.pop("engine")
     backend = engine["backend"]
@@ -71,8 +140,19 @@ def main() -> int:
         )
     if backend == "python":
         assert reason, "python fallback must record a backend_reason"
+        assert engine["fabric"] == "python" and engine["fabric_reason"], (
+            f"python backend must report a python fabric with a reason: {engine}")
     else:
         assert reason is None, f"compiled backend recorded reason {reason!r}"
+        assert engine["fabric"] == "resident", (
+            f"the plain storm's fabric was not adopted: "
+            f"{engine['fabric_reason']!r}")
+        faulty = run("accel-sequential", FAULTS)
+        info = faulty.pop("engine")
+        assert info["fabric"] == "resident", (
+            f"[[faults]] lost the resident fabric: {info['fabric_reason']!r}")
+        assert faulty == run(faults=FAULTS), (
+            "accel-sequential diverged from sequential under [[faults]]")
 
     if accel != seq:
         a = json.dumps(seq, indent=2, sort_keys=True).splitlines()
@@ -87,8 +167,10 @@ def main() -> int:
         )
 
     detail = f"fallback: {reason}" if backend == "python" else "no fallback"
-    print(f"accel smoke OK: backend {backend} ({detail}), "
-          f"scenario JSON bit-identical to sequential")
+    print(f"accel smoke OK: backend {backend} ({detail}), fabric "
+          f"{engine['fabric']}, scenario JSON bit-identical to sequential")
+    if backend == "compiled":
+        leak_drill(lambda: run("accel-sequential"))
     return 0
 
 

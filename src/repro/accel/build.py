@@ -8,8 +8,10 @@ interpreters or upgrading the package each get a fresh build, and
 concurrent processes race benignly via an atomic rename).
 
 Degradation is a feature, not an error: *anything* that prevents a
-native kernel -- no compiler, a failing compile, a non-POSIX host, the
-``UNION_ACCEL_DISABLE`` environment switch -- raises
+native kernel -- no compiler, a failing compile, a cached artifact that
+stays unloadable after one rebuild, a kernel whose exported ABI does not
+match this package, a non-POSIX host, the ``UNION_ACCEL_DISABLE``
+environment switch -- raises
 :exc:`AccelUnavailable` with a human-readable reason, and the accel
 engine factories fall back to the pure-Python engines (which commit the
 bit-identical event sequence) recording that reason.  ``pip install``
@@ -39,10 +41,15 @@ import tempfile
 from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 
-__all__ = ["AccelUnavailable", "load_kernel", "kernel_status"]
+__all__ = ["AccelUnavailable", "load_kernel", "kernel_status", "build_into"]
 
 MODULE_NAME = "_union_accel"
 _SOURCE = Path(__file__).with_name("_kernel.c")
+
+#: The kernel's ``ABI_VERSION``: the layout of the adoption row
+#: (:mod:`repro.accel.dispatch`) and the ``Kernel`` method signatures
+#: :mod:`repro.accel.engines` calls.  Bump both sides together.
+KERNEL_ABI = 2
 
 #: Memoized load outcome: ``(module, "")`` or ``(None, reason)``.
 #: ``UNION_ACCEL_DISABLE`` is consulted *before* the memo so tests can
@@ -88,18 +95,19 @@ def _artifact_path(key: str) -> Path:
     return _cache_dir() / f"{MODULE_NAME}.{key}{suffix}"
 
 
-def _compile(cc: str, out: Path) -> None:
+def _compile(cc: str, out: Path, extra_flags: tuple[str, ...] = ()) -> None:
     """Compile the kernel source to ``out`` (atomic via rename).
 
     No ``-ffast-math`` and no reassociation flags: the kernel's floats
     must round exactly as CPython's, or bit-identical fallback parity
-    breaks.
+    breaks.  ``extra_flags`` is for instrumented builds (the CI
+    sanitizer drill, :func:`build_into`).
     """
     out.parent.mkdir(parents=True, exist_ok=True)
     include = sysconfig.get_paths()["include"]
     fd, tmp = tempfile.mkstemp(suffix=out.suffix, dir=out.parent)
     os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", f"-I{include}",
+    cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
            str(_SOURCE), "-o", tmp]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
@@ -123,29 +131,74 @@ def _load(path: Path):
     return mod
 
 
-def _load_kernel_uncached():
+def _build(path: Path, extra_flags: tuple[str, ...] = ()) -> None:
+    cc = _find_compiler()
+    if cc is None:
+        raise AccelUnavailable("no C compiler found (tried the "
+                               "interpreter's CC, then cc/gcc/clang)")
+    try:
+        _compile(cc, path, extra_flags)
+    except OSError as exc:
+        raise AccelUnavailable(f"cannot write build cache: {exc}") from exc
+
+
+def _source_artifact() -> Path:
     if os.name != "posix":
         raise AccelUnavailable(
             f"compiled kernel is only built on POSIX hosts (os.name={os.name!r})")
     if not _SOURCE.is_file():
         raise AccelUnavailable(f"kernel source missing: {_SOURCE}")
-    source = _SOURCE.read_bytes()
-    path = _artifact_path(_build_key(source))
+    return _artifact_path(_build_key(_SOURCE.read_bytes()))
+
+
+def build_into(extra_flags: tuple[str, ...]) -> Path:
+    """(Re)build the kernel with ``extra_flags`` into the current cache
+    directory, under the key :func:`load_kernel` will look up -- how
+    the CI drill runs ``tests/accel`` against a sanitizer build (point
+    ``UNION_ACCEL_CACHE`` at a scratch directory first)."""
+    path = _source_artifact()
+    _build(path, extra_flags)
+    return path
+
+
+def _check_abi(mod) -> None:
+    """The loaded module must speak this package's ABI."""
+    from repro.pdes.engine import Engine
+
+    shift = getattr(mod, "SEQ_ORIGIN_SHIFT", None)
+    abi = getattr(mod, "ABI_VERSION", None)
+    if shift != Engine.SEQ_ORIGIN_SHIFT:
+        raise AccelUnavailable(
+            f"kernel ABI mismatch: SEQ_ORIGIN_SHIFT is {shift!r}, the "
+            f"engines pack seq with {Engine.SEQ_ORIGIN_SHIFT}")
+    if abi != KERNEL_ABI:
+        raise AccelUnavailable(
+            f"kernel ABI mismatch: kernel exports ABI_VERSION {abi!r}, "
+            f"this package needs {KERNEL_ABI}")
+
+
+def _load_kernel_uncached():
+    path = _source_artifact()
     if not path.is_file():
-        cc = _find_compiler()
-        if cc is None:
-            raise AccelUnavailable("no C compiler found (tried the "
-                                   "interpreter's CC, then cc/gcc/clang)")
-        try:
-            _compile(cc, path)
-        except AccelUnavailable:
-            raise
-        except OSError as exc:
-            raise AccelUnavailable(f"cannot write build cache: {exc}") from exc
+        _build(path)
     try:
-        return _load(path)
-    except ImportError as exc:
-        raise AccelUnavailable(f"built kernel failed to load: {exc}") from exc
+        mod = _load(path)
+    except ImportError:
+        # A truncated or corrupt cached artifact (a killed compile, a
+        # full disk): drop it and rebuild once before giving up.
+        try:
+            path.unlink()
+        except OSError as exc:
+            raise AccelUnavailable(
+                f"cannot replace corrupt kernel artifact {path}: {exc}") from exc
+        _build(path)
+        try:
+            mod = _load(path)
+        except ImportError as exc:
+            raise AccelUnavailable(
+                f"rebuilt kernel still fails to load: {exc}") from exc
+    _check_abi(mod)
+    return mod
 
 
 def load_kernel():

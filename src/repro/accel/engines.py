@@ -16,7 +16,12 @@ kernel owns ``now``, the seq counters and the pending heap, and the
 engine syncs the public counters (``events_processed``,
 ``windows_executed``, ...) back to plain attributes after every run --
 in a ``finally``, so post-mortem reads stay accurate when a handler
-raises.
+raises.  A :class:`~repro.network.fabric.NetworkFabric` built on a
+compiled engine asks it to :meth:`~_CompiledMixin.adopt_fabric`; an
+adopted fabric is *resident* in the kernel (:mod:`repro.accel.dispatch`)
+and the engine says which it is: ``fabric`` (``"resident"`` or
+``"python"``) and ``fabric_reason``, next to ``backend`` /
+``backend_reason``.
 
 :class:`PythonSequentialEngine` / :class:`PythonConservativeEngine` are
 the fallback backends: behaviorally the plain Python engines (hence
@@ -38,7 +43,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.accel.build import AccelUnavailable, load_kernel
-from repro.accel.dispatch import build_dispatch
+from repro.accel import dispatch
 from repro.pdes.conservative import ConservativeEngine
 from repro.pdes.event import Event, Priority
 from repro.pdes.lp import LP
@@ -67,6 +72,25 @@ class _CompiledMixin:
 
     backend = "compiled"
     backend_reason = ""
+    #: Whether the network fabric on this engine is resident in the
+    #: kernel, and if not, why its LPs run on generic Python rows.
+    fabric = "python"
+    fabric_reason = "no NetworkFabric was built on this engine"
+
+    def adopt_fabric(self, fabric: Any) -> Any:
+        """Called by :class:`NetworkFabric` at the end of construction:
+        adopt it into the kernel if possible.  Returns the kernel (the
+        fabric's per-message seams call into it) or ``None``."""
+        reason = dispatch.adopt(self._kernel, fabric,
+                                self.fabric == "resident")
+        self.fabric = "python" if reason else "resident"
+        self.fabric_reason = reason
+        return None if reason else self._kernel
+
+    def set_fabric_policy(self, fabric: Any, app_id: int | None, policy: Any) -> None:
+        """The resident ``fabric`` changed the policy routing ``app_id``'s
+        packets (``None``: its fabric-wide policy)."""
+        dispatch.set_policy(self._kernel, fabric, app_id, policy)
 
     @property
     def now(self) -> float:
@@ -91,9 +115,9 @@ class _CompiledMixin:
         # seq assignment and the heap push happen in the kernel, which
         # packs (origin + 1) << 40 | counter exactly like
         # Engine.schedule_fast.
-        ev = Event(time, dst, kind, data, priority, src,
-                   send_time=self._kernel.now)
-        self._kernel.push_event(ev)
+        kern = self._kernel
+        ev = Event(time, dst, kind, data, priority, src, send_time=kern.now)
+        kern.push_event(ev, time, dst, priority)
         return ev
 
     def _push(self, ev: Event) -> None:
@@ -119,17 +143,16 @@ class AccelSequentialEngine(_CompiledMixin, SequentialEngine):
 
     def __init__(self) -> None:
         mod = load_kernel()  # raises AccelUnavailable
-        self._kernel = mod.Kernel(0, 0.0, Event)
+        self._kernel = mod.Kernel(0, 0.0)
         super().__init__()
 
     def register(self, lp: LP, partition: int | None = None) -> int:
         lp_id = super().register(lp, partition)
-        self._kernel.add_lp(0)
+        self._kernel.add_lp(0, lp.handle)
         return lp_id
 
     def run(self, until: float = float("inf"), max_events: int | None = None) -> float:
         kern = self._kernel
-        kern.set_dispatch(build_dispatch(self.lps))
         budget = -1 if max_events is None else max_events
         try:
             kern.run(until, budget)
@@ -161,12 +184,12 @@ class AccelConservativeEngine(_CompiledMixin, ConservativeEngine):
         if n_partitions < 1:
             raise ValueError(f"need at least one partition, got {n_partitions}")
         mod = load_kernel()  # raises AccelUnavailable
-        self._kernel = mod.Kernel(n_partitions, lookahead, Event)
+        self._kernel = mod.Kernel(n_partitions, lookahead)
         super().__init__(lookahead, n_partitions, partition_fn)
 
     def register(self, lp: LP, partition: int | None = None) -> int:
         lp_id = super().register(lp, partition)
-        self._kernel.add_lp(self._part_of_lp[lp_id])
+        self._kernel.add_lp(self._part_of_lp[lp_id], lp.handle)
         return lp_id
 
     def schedule_control(
@@ -200,7 +223,6 @@ class AccelConservativeEngine(_CompiledMixin, ConservativeEngine):
 
     def run(self, until: float = float("inf"), max_events: int | None = None) -> float:
         kern = self._kernel
-        kern.set_dispatch(build_dispatch(self.lps))
         budget = -1 if max_events is None else max_events
         try:
             kern.run(until, budget)
@@ -223,6 +245,8 @@ class PythonSequentialEngine(SequentialEngine):
 
     backend = "python"
     backend_reason = "backend 'python' requested"
+    fabric = "python"
+    fabric_reason = "the python backend runs every LP in Python"
 
 
 class PythonConservativeEngine(ConservativeEngine):
@@ -230,6 +254,8 @@ class PythonConservativeEngine(ConservativeEngine):
 
     backend = "python"
     backend_reason = "backend 'python' requested"
+    fabric = "python"
+    fabric_reason = PythonSequentialEngine.fabric_reason
 
 
 def _check_backend(backend: str) -> None:

@@ -156,6 +156,14 @@ def check_parity(ctx: FuzzContext) -> list[str]:
     if json.dumps(acc, sort_keys=True) != seq_key:
         out.append(f"accel-sequential (backend={backend}) run diverged "
                    "from the sequential result")
+    # Whole YAWNS windows commit inside the kernel too, so the windowed
+    # accel engine gets the same net.
+    acw = ctx.run(engine={"type": "accel-conservative",
+                          "partitions": 2}).to_json_dict()
+    backend = (acw.pop("engine", None) or {}).get("backend", "?")
+    if json.dumps(acw, sort_keys=True) != seq_key:
+        out.append(f"accel-conservative(partitions=2, backend={backend}) "
+                   "run diverged from the sequential result")
     pyb = ctx.run(engine={"type": "accel-sequential",
                           "backend": "python"}).to_json_dict()
     pyb.pop("engine", None)

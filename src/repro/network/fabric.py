@@ -194,6 +194,13 @@ class NetworkFabric:
         from repro.parallel.runtime import bind_engine_telemetry
 
         bind_engine_telemetry(self.engine, t)
+        # A compiled engine (repro.accel) may adopt the finished fabric:
+        # its kernel then owns the LP state and the per-packet events,
+        # and the per-message seams below call into it.  ``None`` on
+        # every other engine, and when the kernel declines (the engine
+        # records why as ``fabric_reason``).
+        adopt = getattr(self.engine, "adopt_fabric", None)
+        self._resident = adopt(self) if adopt is not None else None
 
     # -- LP id mapping ----------------------------------------------------
     def router_lp_id(self, router: int) -> int:
@@ -225,6 +232,9 @@ class NetworkFabric:
             app_id: FaultAwareRouting(policy, plane)
             for app_id, policy in self._app_routing.items()
         }
+        self._policy_changed(None, self.routing)
+        for app_id, policy in self._app_routing.items():
+            self._policy_changed(app_id, policy)
 
     # -- per-application routing -----------------------------------------------
     def set_app_routing(self, app_id: int, routing) -> None:
@@ -243,6 +253,13 @@ class NetworkFabric:
         if self.fault_plane is not None:
             policy = FaultAwareRouting(policy, self.fault_plane)
         self._app_routing[app_id] = policy
+        self._policy_changed(app_id, policy)
+
+    def _policy_changed(self, app_id: int | None, policy) -> None:
+        """Tell a resident kernel which policy now routes ``app_id``'s
+        packets (``None``: the fabric-wide policy)."""
+        if self._resident is not None:
+            self.engine.set_fabric_policy(self, app_id, policy)
 
     def routing_for(self, app_id: int):
         """The routing policy used by ``app_id``'s packets."""
@@ -287,6 +304,8 @@ class NetworkFabric:
                 msg_id,
                 Priority.NETWORK,
             )
+        elif self._resident is not None:
+            self._resident.inject(msg_id, app_id, src_node, dst_node, size)
         else:
             self.terminals[src_node].inject_message(msg_id, app_id, dst_node, size)
         return msg_id
@@ -318,6 +337,22 @@ class NetworkFabric:
         self.messages_delivered += 1
         if self._on_delivery is not None:
             self._on_delivery(msg_id, st.meta, time)
+
+    # -- seams of a resident fabric (called by the kernel, per message) ------
+    # The kernel writes its state into the Python mirrors before any
+    # code that could observe it runs; without a callback only the
+    # fabric's own bookkeeping does, so the flush is skipped.
+    def _resident_injected(self, msg_id: int, time: float) -> None:
+        if self._on_injected is not None:
+            self._resident.flush()
+        self.on_message_injected(msg_id, time)
+
+    def _resident_delivered(self, msg_id: int, time: float) -> None:
+        st = self._msgs[msg_id]
+        st.remaining = 0
+        if self._on_delivery is not None:
+            self._resident.flush()
+        self._complete(msg_id, st, time)
 
     def on_packet_routed(self, app_id: int, nonmin: bool) -> None:
         """Terminal notification: one packet's route was chosen."""

@@ -107,26 +107,6 @@ class RouterLP(LP):
             self._ports.append((peer, bw, extra, p.link_id, hop_inc))
         self._sched = self.engine.schedule_fast
 
-    def accel_export(self):
-        """Hot-path table for the compiled kernel (:mod:`repro.accel`).
-
-        The kernel replays :meth:`_on_arrival` natively against these
-        very containers (``_ports`` entries are re-read per event, so
-        fault-plane bandwidth rescaling takes effect exactly as in
-        Python).  Subclasses opt out wholesale -- an override anywhere
-        could change the arrival semantics, so only the exact base
-        class exports a table and everything else dispatches through
-        :meth:`handle`.
-        """
-        if type(self) is not RouterLP:
-            return None
-        return (
-            "router", self, self.handle, self._on_arrival, self._ports,
-            self.busy_until, self.pending_starts, self._port_to_node,
-            self._ports_to_router, self._app_record, self._load_record,
-            self._queue_record, self.rid,
-        )
-
     # -- fault hooks (used by repro.faults) ---------------------------------
     def scale_port_bandwidth(self, port: int, factor: float) -> tuple:
         """Scale one output port's link bandwidth; returns the previous
@@ -139,12 +119,16 @@ class RouterLP(LP):
         """
         state = self._ports[port]
         peer, bw, extra, link_id, hop_inc = state
-        self._ports[port] = (peer, bw * factor, extra, link_id, hop_inc)
+        self.restore_port(port, (peer, bw * factor, extra, link_id, hop_inc))
         return state
 
     def restore_port(self, port: int, state: tuple) -> None:
         """Restore a port state saved by :meth:`scale_port_bandwidth`."""
         self._ports[port] = state
+        resident = getattr(self.fabric, "_resident", None)
+        if resident is not None:
+            # the kernel forwards this router's packets: write through
+            resident.set_port_bw(self.rid, port, state[1])
 
     # -- queue sensing (used by adaptive routing) ---------------------------
     def queue_depth(self, port: int) -> int:

@@ -99,18 +99,6 @@ class TerminalLP(LP):
         self._sched = self.engine.schedule_fast
         self._next_pkt_id = self.fabric.next_packet_id
 
-    def accel_export(self):
-        """Hot-path table for the compiled kernel (:mod:`repro.accel`).
-
-        Only the dominant ``pkt`` (delivery) kind is handled natively --
-        the kernel calls the bound :meth:`_on_pkt` without building an
-        Event or walking the dispatch dict; every other kind goes
-        through :meth:`handle` unchanged.  Subclasses opt out wholesale.
-        """
-        if type(self) is not TerminalLP:
-            return None
-        return ("terminal", self, self.handle, self._on_pkt)
-
     # -- sending ---------------------------------------------------------
     def inject_message(self, msg_id: int, app_id: int, dst_node: int, size: int) -> None:
         """Segment a message into packets and queue them for injection.

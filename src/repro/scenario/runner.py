@@ -342,6 +342,10 @@ def reduce_scenario_result(spec: ScenarioSpec, outcome: RunOutcome) -> ScenarioR
             # compiled kernel.
             engine_info["backend"] = backend
             engine_info["backend_reason"] = eng.backend_reason or None
+            # ... and whether the network fabric was resident in the
+            # kernel or ran as Python LPs ('python', with the reason).
+            engine_info["fabric"] = eng.fabric
+            engine_info["fabric_reason"] = eng.fabric_reason or None
     faults_info = None
     if spec.faults:
         def fault_val(metric: str) -> int:

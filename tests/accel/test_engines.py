@@ -86,6 +86,8 @@ def test_python_backend_bit_identical_to_sequential():
     assert doc == base
     assert eng["backend"] == "python"
     assert eng["backend_reason"] == "backend 'python' requested"
+    # No silent downgrade: a Python fabric is reported with its reason.
+    assert eng["fabric"] == "python" and eng["fabric_reason"]
 
 
 @needs_kernel
@@ -96,6 +98,8 @@ def test_compiled_sequential_bit_identical_to_sequential():
     # Non-vacuous: the compiled kernel actually ran.
     assert eng["backend"] == "compiled"
     assert eng["backend_reason"] is None
+    # ... with the MPI job's fabric resident in it.
+    assert (eng["fabric"], eng["fabric_reason"]) == ("resident", None)
 
 
 @needs_kernel
@@ -104,6 +108,7 @@ def test_compiled_conservative_bit_identical_to_sequential():
     eng, doc = _result_json({"type": "accel-conservative", "partitions": 3})
     assert doc == base
     assert eng["backend"] == "compiled"
+    assert eng["fabric"] == "resident"
     assert eng["scheme"] == "group"
     assert eng["windows"] > 0
 
