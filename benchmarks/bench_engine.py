@@ -1,12 +1,9 @@
-"""Engine and design-choice ablations (DESIGN.md Section 4).
+"""Design-choice ablations (DESIGN.md Section 4).
 
-Not a paper table -- these benches quantify the substrate:
+Not a paper table -- these benches quantify the substrate (engine and
+network *throughput* is refereed by ``python3 -m bench``, see
+``BENCHMARK.json``):
 
-* PDES scheduler comparison on PHOLD (sequential / conservative /
-  Time Warp), the ROSS-layer ablation;
-* raw network simulator throughput (events/second), tracked over time
-  in ``BENCH_engine.json`` via ``scripts/bench.sh`` (see
-  ``benchmarks/throughput.py`` for the metric definitions);
 * allreduce algorithm ablation (ring vs recursive doubling) at the
   message size regimes of the ML workloads;
 * adaptive-routing bias ablation under a permutation hotspot.
@@ -20,34 +17,6 @@ from repro.mpi.engine import JobSpec, SimMPI
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.fabric import NetworkFabric
-from repro.pdes.conservative import ConservativeEngine
-from repro.pdes.sequential import SequentialEngine
-from repro.pdes.timewarp import TimeWarpEngine
-
-from tests.pdes.phold import build_phold, fingerprint
-
-
-@pytest.mark.parametrize(
-    "engine_factory",
-    [
-        pytest.param(SequentialEngine, id="sequential"),
-        pytest.param(lambda: ConservativeEngine(lookahead=0.5, n_partitions=4), id="conservative"),
-        pytest.param(lambda: TimeWarpEngine(gvt_interval=16), id="timewarp"),
-    ],
-)
-def test_benchmark_phold(benchmark, engine_factory):
-    def run():
-        eng = engine_factory()
-        lps = build_phold(eng, n_lps=16, seed=7)
-        eng.run(until=200.0)
-        return eng, lps
-
-    eng, lps = benchmark.pedantic(run, rounds=3, iterations=1)
-    # All engines commit the same events.
-    ref = SequentialEngine()
-    ref_lps = build_phold(ref, n_lps=16, seed=7)
-    ref.run(until=200.0)
-    assert fingerprint(lps) == fingerprint(ref_lps)
 
 
 def _permutation_traffic(ctx):
@@ -72,47 +41,6 @@ def _run_permutation(routing: str, bias: float) -> float:
     mpi.run(until=1.0)
     res = mpi.results()[0]
     return res.max_comm_time()
-
-
-def test_benchmark_network_throughput(benchmark):
-    """Raw events/second of the network core: the fabric-level
-    permutation packet storm from the tracked throughput trajectory."""
-    from benchmarks.throughput import REFERENCE_EVENTS, run_network_throughput
-
-    events = benchmark.pedantic(run_network_throughput, rounds=3, iterations=1)
-    best = benchmark.stats.stats.min
-    ref = REFERENCE_EVENTS["network_throughput"]
-    report(
-        f"\nnetwork-throughput storm: {events} events in {best:.3f}s"
-        f" -> {events / best:,.0f} ev/s"
-        f" ({ref / best:,.0f} seed-reference ev/s; seed graph: {ref} events)"
-    )
-    # The busy_until forwarding path must keep the event graph well under
-    # the seed model's 2-events-per-transmission traffic.
-    assert events < 0.75 * ref
-    assert events > 10_000
-
-
-def test_benchmark_mpi_workload_throughput(benchmark):
-    """Events per second of the packet-level model under a co-scheduled
-    MPI workload (full stack)."""
-
-    def run():
-        fabric = NetworkFabric(Dragonfly1D.mini(), NetworkConfig(seed=2), routing="adp")
-        mpi = SimMPI(fabric)
-
-        def allred(ctx):
-            for _ in range(3):
-                yield ctx.compute(1e-4)
-                yield from ctx.allreduce(1 << 19)
-
-        mpi.add_job(JobSpec("a", 32, allred, list(range(32))))
-        mpi.run(until=1.0)
-        return fabric.engine.events_processed
-
-    events = benchmark.pedantic(run, rounds=1, iterations=1)
-    report(f"\nnetwork model events committed: {events}")
-    assert events > 10_000
 
 
 @pytest.mark.parametrize("algorithm", ["ring", "rd"])

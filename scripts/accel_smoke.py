@@ -116,21 +116,20 @@ def main() -> int:
     if args.build_sanitized:
         return build_sanitized(args.asan)
 
-    from repro.scenario import parse_scenario
+    from repro.scenario import oracle, parse_scenario
     from repro.scenario.runner import run_scenario
 
     def run(engine=None, faults=None):
+        """``(engine stanza, canonical result JSON)`` of one run."""
         spec = dict(SCENARIO)
         if engine is not None:
             spec["engine"] = {"type": engine}
         if faults is not None:
             spec["faults"] = faults
-        return run_scenario(parse_scenario(spec)).to_json_dict()
+        return oracle.split(run_scenario(parse_scenario(spec)).to_json_dict())
 
-    seq = run()
-    accel = run("accel-sequential")
-
-    engine = accel.pop("engine")
+    _, seq = run()
+    engine, accel = run("accel-sequential")
     backend = engine["backend"]
     reason = engine["backend_reason"]
     if args.expect is not None:
@@ -147,16 +146,15 @@ def main() -> int:
         assert engine["fabric"] == "resident", (
             f"the plain storm's fabric was not adopted: "
             f"{engine['fabric_reason']!r}")
-        faulty = run("accel-sequential", FAULTS)
-        info = faulty.pop("engine")
+        info, faulty = run("accel-sequential", FAULTS)
         assert info["fabric"] == "resident", (
             f"[[faults]] lost the resident fabric: {info['fabric_reason']!r}")
-        assert faulty == run(faults=FAULTS), (
+        assert faulty == run(faults=FAULTS)[1], (
             "accel-sequential diverged from sequential under [[faults]]")
 
     if accel != seq:
-        a = json.dumps(seq, indent=2, sort_keys=True).splitlines()
-        b = json.dumps(accel, indent=2, sort_keys=True).splitlines()
+        a = json.dumps(json.loads(seq), indent=2, sort_keys=True).splitlines()
+        b = json.dumps(json.loads(accel), indent=2, sort_keys=True).splitlines()
         import difflib
 
         sys.stderr.write("\n".join(difflib.unified_diff(

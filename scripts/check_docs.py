@@ -164,18 +164,22 @@ def check_telemetry_doc(path: Path = DOCS / "telemetry.md") -> int:
 
 
 def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
-    """docs/engines.md must name every engine, alias, param and choice.
+    """docs/engines.md must name every engine, alias, param, choice
+    and axis.
 
     Names must appear backtick-quoted (as in the roster and parameter
     listings); enumerated parameters (``Param.choices``) must document
-    every accepted value, and every registered alias must be named so
-    the shorthand a scenario may use is discoverable.  Returns the
-    number of names checked.
+    every accepted value, every registered alias must be named so
+    the shorthand a scenario may use is discoverable, and the axis
+    table must name every axis and value.  Returns the number of names
+    checked.
     """
-    from repro.registry import engine_registry
+    from repro.registry import ENGINE_AXES, engine_registry
 
     text = path.read_text()
     names: list[str] = []
+    for axis, values in ENGINE_AXES.items():
+        names.extend((axis, *values))
     for spec in engine_registry:
         names.append(spec.name)
         for p in spec.params:

@@ -42,17 +42,17 @@ SCENARIO = {
 
 
 def main() -> int:
-    from repro.scenario import parse_scenario
+    from repro.scenario import oracle, parse_scenario
     from repro.scenario.runner import run_scenario
 
-    seq = run_scenario(parse_scenario(dict(SCENARIO))).to_json_dict()
+    _, seq = oracle.split(
+        run_scenario(parse_scenario(dict(SCENARIO))).to_json_dict())
 
     mp_spec = dict(SCENARIO)
     mp_spec["engine"] = {"type": "mp-conservative", "partitions": 4,
                          "backend": "mp"}
-    mp = run_scenario(parse_scenario(mp_spec)).to_json_dict()
-
-    engine = mp.pop("engine")
+    engine, mp = oracle.split(
+        run_scenario(parse_scenario(mp_spec)).to_json_dict())
     assert engine["mode"] == "distributed", (
         f"mp run fell back to single-process: {engine['fallback']!r}"
     )
@@ -61,8 +61,8 @@ def main() -> int:
     assert engine["windows"] > 1
 
     if mp != seq:
-        a = json.dumps(seq, indent=2, sort_keys=True).splitlines()
-        b = json.dumps(mp, indent=2, sort_keys=True).splitlines()
+        a = json.dumps(json.loads(seq), indent=2, sort_keys=True).splitlines()
+        b = json.dumps(json.loads(mp), indent=2, sort_keys=True).splitlines()
         import difflib
 
         sys.stderr.write("\n".join(difflib.unified_diff(

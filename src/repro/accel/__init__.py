@@ -14,10 +14,7 @@ build/caching story.
 
 from repro.accel.build import AccelUnavailable, kernel_status, load_kernel
 from repro.accel.engines import (
-    AccelConservativeEngine,
-    AccelSequentialEngine,
-    PythonConservativeEngine,
-    PythonSequentialEngine,
+    KernelEngine,
     accel_conservative_engine,
     accel_sequential_engine,
 )
@@ -26,10 +23,7 @@ __all__ = [
     "AccelUnavailable",
     "kernel_status",
     "load_kernel",
-    "AccelSequentialEngine",
-    "AccelConservativeEngine",
-    "PythonSequentialEngine",
-    "PythonConservativeEngine",
+    "KernelEngine",
     "accel_sequential_engine",
     "accel_conservative_engine",
 ]

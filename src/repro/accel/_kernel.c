@@ -1574,13 +1574,12 @@ run_loop(KernelObject *k, double until, long long budget)
             }
         }
         /* the finally clauses of commit_window / SequentialEngine.run:
-         * a raising YAWNS window's events never reach the total, the
-         * sequential loop counts what it committed before the raise */
+         * both count what committed before a handler raised */
         k->current_partition = -1;
         k->origin = -1;
-        if (fail && k->conservative)
-            break;
         committed += wcommitted;
+        if (fail)
+            break;
         if (wcommitted > k->max_window_events)
             k->max_window_events = wcommitted;
     }

@@ -78,9 +78,11 @@ _PYTHON = 2
 
 
 def adopt(kernel, fabric, hosting: bool) -> str:
-    """Make ``fabric`` resident in ``kernel``; returns ``""`` on
-    success, else why it stays on generic Python rows.  ``hosting``:
-    the kernel already has a resident fabric (it takes one)."""
+    """Make ``fabric`` resident in ``kernel`` and hand it the kernel
+    (``fabric._resident``: its per-message seams call into it);
+    returns ``""`` on success, else why it stays on generic Python
+    rows.  ``hosting``: the kernel already has a resident fabric (it
+    takes one)."""
     reason = _refusal(fabric, hosting)
     if reason:
         return reason
@@ -88,6 +90,7 @@ def adopt(kernel, fabric, hosting: bool) -> str:
     set_policy(kernel, fabric, None, fabric.routing)
     for app_id, policy in fabric._app_routing.items():
         set_policy(kernel, fabric, app_id, policy)
+    fabric._resident = kernel
     return ""
 
 

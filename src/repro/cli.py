@@ -15,7 +15,6 @@ Subcommands
 ``jobs``       -- list/inspect/cancel jobs on a running service
 ``sweep``      -- run the full Figure 7/9 sweep and print summaries
 ``systems``    -- print the Table II system configurations
-``bench``      -- run the tracked throughput benches (repo checkout only)
 ``topologies`` -- print the full fabric-model roster
 ``engines``    -- print the execution-engine roster
 
@@ -33,6 +32,7 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.report import format_bytes, format_seconds, render_table
 from repro.harness.sweeps import latency_sweep, panel_stats
 from repro.registry import (
+    ENGINE_AXES,
     RegistryError,
     all_routing_names,
     engine_registry,
@@ -555,83 +555,14 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_throughput():
-    """The ``benchmarks/throughput.py`` module, or ``None``.
-
-    The bench roster lives with the tracked perf trajectory at the repo
-    root, outside the installed package; resolve it relative to the
-    package and put the root on ``sys.path`` so the module's own
-    ``tests.pdes`` imports work.  ``None`` means no repo checkout.
-    """
-    import importlib
-    from pathlib import Path
-
-    import repro
-
-    root = Path(repro.__file__).resolve().parents[2]
-    if not (root / "benchmarks" / "throughput.py").is_file():
-        return None
-    if str(root) not in sys.path:
-        sys.path.insert(0, str(root))
-    return importlib.import_module("benchmarks.throughput")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    throughput = _load_throughput()
-    if throughput is None:
-        print("error: 'union-sim bench' needs a repo checkout "
-              "(benchmarks/throughput.py not found)", file=sys.stderr)
-        return 2
-    benches = dict(throughput.BENCHES)
-    if args.engine is not None:
-        # Substitute a registry engine into the parameterizable benches
-        # (a fresh engine per repeat; see engine_benches).
-        benches = throughput.engine_benches({"type": args.engine})
-    if args.list:
-        for name in benches:
-            doc = (throughput.BENCHES.get(name, benches[name]).__doc__
-                   or "").strip().splitlines()
-            print(f"{name:28s} {doc[0] if doc else ''}")
-        return 0
-    if args.only:
-        unknown = [n for n in args.only if n not in benches]
-        if unknown:
-            print(f"error: unknown bench(es) {', '.join(unknown)}; "
-                  f"choose from: {', '.join(benches)}", file=sys.stderr)
-            return 2
-        benches = {n: benches[n] for n in args.only}
-    try:
-        results = throughput.measure(args.repeat, benches=benches)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name, r in results.items():
-        print(f"{name:28s} {r['events']:>9d} events  {r['seconds']:.3f}s  "
-              f"{r['events_per_sec']:>9,d} ev/s  "
-              f"{r['ref_events_per_sec']:>9,d} ref-ev/s")
-    if args.json:
-        doc = {"engine": args.engine, "repeat": args.repeat,
-               "benches": results}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
-
-
 def _cmd_engines(args: argparse.Namespace) -> int:
-    rows = []
-    for spec in engine_registry:
-        rows.append((
-            spec.name,
-            "yes" if getattr(spec, "partitioned", False) else "no",
-            ", ".join(p.name for p in spec.params) or "-",
-            spec.summary,
-        ))
+    rows = [
+        (spec.name, *(spec.axes[a] for a in ENGINE_AXES),
+         ", ".join(p.name for p in spec.params) or "-", spec.summary)
+        for spec in engine_registry
+    ]
     print(render_table(
-        ["name", "partitioned", "params", "summary"],
+        ["name", *ENGINE_AXES, "params", "summary"],
         rows,
         title="Execution-engine registry",
     ))
@@ -992,28 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("engines", help="print the execution-engine registry")
     e.set_defaults(fn=_cmd_engines)
-
-    k = sub.add_parser(
-        "bench",
-        help="run the tracked throughput benches (repo checkout only)",
-        description="Run the benchmarks/throughput.py roster -- the "
-                    "tracked events-per-second trajectory -- and print "
-                    "each bench's raw and reference-normalized rate "
-                    "(docs/cli.md#bench).")
-    k.add_argument("--list", action="store_true",
-                   help="print the bench roster and exit")
-    k.add_argument("--only", action="append", default=None, metavar="NAME",
-                   help="run only this bench (repeatable)")
-    k.add_argument("--engine", choices=list(engine_registry.names()),
-                   default=None,
-                   help="substitute a registry engine into the "
-                        "engine-parameterizable benches (storm; PHOLD "
-                        "for unpartitioned engines)")
-    k.add_argument("--repeat", type=int, default=3, metavar="N",
-                   help="runs per bench, best kept (default 3)")
-    k.add_argument("--json", default=None, metavar="FILE",
-                   help="also write the results as JSON")
-    k.set_defaults(fn=_cmd_bench)
     return p
 
 

@@ -21,13 +21,13 @@ touching the harness.
 ``determinism``
     Running the identical spec twice yields bit-identical result JSON.
 ``parity``
-    The conservative engine (2 partitions), the multi-process
-    ``mp-conservative`` engine (inline backend -- fuzz pool workers are
-    daemonic and cannot spawn) and the ``accel-sequential`` engine
-    (default backend plus a forced-python run, so fallback parity never
-    goes vacuous) all reproduce the sequential result exactly, modulo
-    the ``engine`` stanza.  Checked on sampled cases only (each engine
-    adds a full run); :attr:`FuzzContext.parity` gates it.
+    Every row of :data:`PARITY_ENGINES` -- the conservative engine (2
+    partitions), the multi-process ``mp-conservative`` engine (inline
+    backend), both ``accel-*`` engines and a forced-python accel run --
+    reproduces the sequential result exactly, modulo the ``engine``
+    stanza (:mod:`repro.scenario.oracle`).  Checked on sampled cases
+    only (each engine adds a full run); :attr:`FuzzContext.parity`
+    gates it.
 ``checkpoint_resume``
     Checkpointing mid-horizon, abandoning the session (the fuzz
     stand-in for a killed worker) and resuming from the cursor yields
@@ -46,7 +46,7 @@ import json
 import math
 from typing import Any, Callable, Mapping
 
-from repro.scenario import parse_scenario
+from repro.scenario import oracle, parse_scenario
 from repro.scenario.runner import ScenarioResult, run_scenario
 
 #: Slack for float comparisons on reported clocks.
@@ -123,53 +123,41 @@ def check_determinism(ctx: FuzzContext) -> list[str]:
     return []
 
 
+#: What ``parity`` runs every sampled case on, next to the sequential
+#: reference.  mp-conservative: the fuzz pool's own workers are daemonic
+#: and cannot spawn children, so the inline backend exercises the full
+#: worker protocol (recipe, window exchange, merge) in-process;
+#: generated scenarios that cannot distribute exercise the fallback
+#: path, which must also match.  The accel engines: the default backend
+#: (the compiled kernel wherever this host can build one, else its
+#: recorded fallback), windowed too since whole YAWNS windows commit
+#: inside the kernel, and the forced python backend -- the latter
+#: unconditionally, so the fallback-parity guarantee can never go
+#: vacuous on a host where every default-backend run happens to compile.
+PARITY_ENGINES: tuple[tuple[str, dict], ...] = (
+    ("conservative(partitions=2)",
+     {"type": "conservative", "partitions": 2}),
+    ("mp-conservative(partitions=2, backend=inline)",
+     {"type": "mp-conservative", "partitions": 2, "backend": "inline"}),
+    ("accel-sequential", {"type": "accel-sequential"}),
+    ("accel-conservative(partitions=2)",
+     {"type": "accel-conservative", "partitions": 2}),
+    ("accel-sequential(backend=python)",
+     {"type": "accel-sequential", "backend": "python"}),
+)
+
+
 def check_parity(ctx: FuzzContext) -> list[str]:
     if not ctx.parity:
         return []
     out = []
-    seq = ctx.run().to_json_dict()
-    seq.pop("engine", None)
-    seq_key = json.dumps(seq, sort_keys=True)
-    con = ctx.run(engine={"type": "conservative", "partitions": 2}).to_json_dict()
-    con.pop("engine", None)
-    if json.dumps(con, sort_keys=True) != seq_key:
-        out.append("conservative(partitions=2) run diverged from the "
-                   "sequential result")
-    # The multi-process engine is held to the same bar.  The fuzz pool's
-    # own workers are daemonic and cannot spawn children, so the inline
-    # backend exercises the full worker protocol (recipe, window
-    # exchange, merge) in-process; generated scenarios that cannot
-    # distribute exercise the fallback path, which must also match.
-    mp = ctx.run(engine={"type": "mp-conservative", "partitions": 2,
-                         "backend": "inline"}).to_json_dict()
-    mp.pop("engine", None)
-    if json.dumps(mp, sort_keys=True) != seq_key:
-        out.append("mp-conservative(partitions=2, backend=inline) run "
-                   "diverged from the sequential result")
-    # The accel engine, twice: the default backend (the compiled kernel
-    # wherever this host can build one, else its recorded fallback) and
-    # the forced python backend -- the latter unconditionally, so the
-    # fallback-parity guarantee can never go vacuous on a host where
-    # every default-backend run happens to compile.
-    acc = ctx.run(engine={"type": "accel-sequential"}).to_json_dict()
-    backend = (acc.pop("engine", None) or {}).get("backend", "?")
-    if json.dumps(acc, sort_keys=True) != seq_key:
-        out.append(f"accel-sequential (backend={backend}) run diverged "
-                   "from the sequential result")
-    # Whole YAWNS windows commit inside the kernel too, so the windowed
-    # accel engine gets the same net.
-    acw = ctx.run(engine={"type": "accel-conservative",
-                          "partitions": 2}).to_json_dict()
-    backend = (acw.pop("engine", None) or {}).get("backend", "?")
-    if json.dumps(acw, sort_keys=True) != seq_key:
-        out.append(f"accel-conservative(partitions=2, backend={backend}) "
-                   "run diverged from the sequential result")
-    pyb = ctx.run(engine={"type": "accel-sequential",
-                          "backend": "python"}).to_json_dict()
-    pyb.pop("engine", None)
-    if json.dumps(pyb, sort_keys=True) != seq_key:
-        out.append("accel-sequential(backend=python) run diverged from "
-                   "the sequential result")
+    _, reference = oracle.split(ctx.run().to_json_dict())
+    for label, table in PARITY_ENGINES:
+        stanza, result = oracle.split(ctx.run(engine=table).to_json_dict())
+        if result != reference:
+            ran = f" (backend={stanza['backend']})" if "backend" in stanza else ""
+            out.append(f"{label}{ran} run diverged from the sequential "
+                       "result")
     return out
 
 

@@ -189,18 +189,17 @@ class NetworkFabric:
                 doc="messages fully delivered", fn=lambda: self.messages_delivered)
         t.gauge("net.fabric.bytes_sent", unit="bytes", replace=True,
                 doc="payload bytes injected", fn=lambda: self.bytes_sent)
-        # Partitioned engines publish their window/partition stats as
-        # pdes.conservative.* observable gauges; no-op for the others.
-        from repro.parallel.runtime import bind_engine_telemetry
-
-        bind_engine_telemetry(self.engine, t)
+        # Windowing engines publish their window/partition stats as
+        # pdes.conservative.* observable gauges.
+        self.engine.bind_telemetry(t)
         # A compiled engine (repro.accel) may adopt the finished fabric:
         # its kernel then owns the LP state and the per-packet events,
-        # and the per-message seams below call into it.  ``None`` on
-        # every other engine, and when the kernel declines (the engine
-        # records why as ``fabric_reason``).
-        adopt = getattr(self.engine, "adopt_fabric", None)
-        self._resident = adopt(self) if adopt is not None else None
+        # and ``_resident`` becomes that kernel (repro.accel.dispatch)
+        # for the per-message seams below to call into.  Still ``None`` on every other
+        # engine, and when the kernel declines (the engine records why
+        # as ``fabric_reason``).
+        self._resident = None
+        self.engine.adopt_fabric(self)
 
     # -- LP id mapping ----------------------------------------------------
     def router_lp_id(self, router: int) -> int:

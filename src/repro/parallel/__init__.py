@@ -18,7 +18,7 @@ execution model and the lookahead contract are documented in
 ``docs/engines.md``.
 
 * :mod:`repro.parallel.partition` -- topology-aware partition plans
-* :mod:`repro.parallel.runtime`   -- engine factory + telemetry binding
+* :mod:`repro.parallel.runtime`   -- engine factory + lookahead rules
 * :mod:`repro.parallel.mp`        -- true multi-process execution
 """
 
@@ -28,18 +28,14 @@ from repro.parallel.partition import (
     min_cross_partition_latency,
     plan_partitions,
 )
-from repro.parallel.runtime import (
-    bind_engine_telemetry,
-    conservative_engine,
-    resolve_lookahead,
-)
+from repro.parallel.runtime import conservative_engine, resolve_lookahead
 
 #: repro.parallel.mp symbols resolved lazily: the fabric imports this
 #: package on its hot construction path, and the mp machinery
 #: (multiprocessing, merge plumbing) is only needed when an
 #: mp-conservative engine is actually requested.
 _MP_EXPORTS = frozenset(
-    {"MpConservativeEngine", "mp_conservative_engine", "WorkerFailure", "have_mpi4py"}
+    {"MpConservativeEngine", "mp_conservative_engine", "WorkerFailure"}
 )
 
 
@@ -56,9 +52,7 @@ __all__ = [
     "PartitionError",
     "PartitionPlan",
     "WorkerFailure",
-    "bind_engine_telemetry",
     "conservative_engine",
-    "have_mpi4py",
     "min_cross_partition_latency",
     "mp_conservative_engine",
     "plan_partitions",

@@ -21,7 +21,7 @@ Modules:
 
 * :mod:`repro.parallel.mp.recipe`   -- model recipes + eligibility
 * :mod:`repro.parallel.mp.worker`   -- worker engine and protocol loop
-* :mod:`repro.parallel.mp.channels` -- mp / inline / mpi4py transports
+* :mod:`repro.parallel.mp.channels` -- mp / inline transports
 * :mod:`repro.parallel.mp.merge`    -- state snapshots and master merge
 * :mod:`repro.parallel.mp.engine`   -- the ``mp-conservative`` master
 
@@ -30,12 +30,11 @@ documented in ``docs/engines.md``.
 """
 
 from repro.parallel.mp.engine import MpConservativeEngine, mp_conservative_engine
-from repro.parallel.mp.channels import MP_BACKENDS, WorkerFailure, have_mpi4py
+from repro.parallel.mp.channels import MP_BACKENDS, WorkerFailure
 
 __all__ = [
     "MP_BACKENDS",
     "MpConservativeEngine",
     "WorkerFailure",
-    "have_mpi4py",
     "mp_conservative_engine",
 ]

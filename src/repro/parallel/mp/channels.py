@@ -1,6 +1,6 @@
 """Transport backends for the multi-process conservative engine.
 
-Three interchangeable transports carry the master/worker protocol of
+Two interchangeable transports carry the master/worker protocol of
 :mod:`repro.parallel.mp.worker`:
 
 ``mp`` (default)
@@ -13,35 +13,22 @@ Three interchangeable transports carry the master/worker protocol of
     pickle round trip.  Zero process overhead, full protocol coverage --
     this is what the fuzz harness and most tests drive, and it works
     where process spawning is impossible (daemonic pool workers).
-``mpi``
-    mpi4py rank 0 is the master, ranks ``1..partitions`` the workers.
-    Selected at runtime; requires ``mpi4py`` in the environment and the
-    driver to be launched under ``mpiexec`` (see
-    :func:`repro.parallel.mp.worker.mpi_worker_loop`).
 
-All backends share one failure philosophy: a worker that dies or errors
+Both share one failure philosophy: a worker that dies or errors
 mid-protocol raises :class:`WorkerFailure` naming the partition -- the
 run fails loudly, never hangs.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import multiprocessing
 import pickle
-
-MP_BACKENDS = ("mp", "inline", "mpi")
 
 _POLL_INTERVAL = 0.2
 
 
 class WorkerFailure(RuntimeError):
     """A worker process died or reported an error mid-protocol."""
-
-
-def have_mpi4py() -> bool:
-    """Whether the optional ``mpi`` backend can be selected at all."""
-    return importlib.util.find_spec("mpi4py") is not None
 
 
 class InlineBackend:
@@ -52,8 +39,6 @@ class InlineBackend:
     exactly as the process backends exercise them -- only the process
     boundary is missing.
     """
-
-    name = "inline"
 
     def __init__(self) -> None:
         self._workers: list = []
@@ -88,8 +73,6 @@ class InlineBackend:
 
 class MultiprocessingBackend:
     """Spawned worker processes over pipes (the ``mp`` default)."""
-
-    name = "mp"
 
     def __init__(self) -> None:
         self._procs: list = []
@@ -177,62 +160,5 @@ class MultiprocessingBackend:
         self._procs, self._conns = [], []
 
 
-class MPIBackend:  # pragma: no cover - requires mpi4py + mpiexec
-    """mpi4py transport: rank 0 masters ranks ``1..partitions``."""
-
-    name = "mpi"
-
-    def __init__(self) -> None:
-        if not have_mpi4py():
-            raise WorkerFailure(
-                "backend 'mpi' requires mpi4py, which is not installed; "
-                "use backend='mp' (default) or backend='inline'"
-            )
-        from mpi4py import MPI
-
-        self._comm = MPI.COMM_WORLD
-        self._partitions = 0
-
-    def launch(self, blob: bytes, partitions: int) -> None:
-        size = self._comm.Get_size()
-        if size < partitions + 1:
-            raise WorkerFailure(
-                f"backend 'mpi' needs {partitions + 1} ranks (1 master + "
-                f"{partitions} workers) but the communicator has {size}; "
-                f"launch with e.g. mpiexec -n {partitions + 1}"
-            )
-        self._partitions = partitions
-        for p in range(partitions):
-            self._comm.send(("build", blob, p), dest=p + 1, tag=1)
-        for p in range(partitions):
-            reply = self.recv(p)
-            if reply[0] != "ready":
-                raise WorkerFailure(
-                    f"mp-conservative worker for partition {p} sent "
-                    f"{reply[0]!r} instead of the ready handshake"
-                )
-
-    def send(self, p: int, msg: tuple) -> None:
-        self._comm.send(msg, dest=p + 1, tag=1)
-
-    def recv(self, p: int) -> tuple:
-        reply = self._comm.recv(source=p + 1, tag=2)
-        if reply[0] == "error":
-            raise WorkerFailure(
-                f"mp-conservative worker for partition {p} failed: {reply[1]}"
-            )
-        return reply
-
-    def shutdown(self) -> None:
-        self._partitions = 0
-
-
-def make_backend(name: str):
-    """Build the named transport (one of :data:`MP_BACKENDS`)."""
-    if name == "mp":
-        return MultiprocessingBackend()
-    if name == "inline":
-        return InlineBackend()
-    if name == "mpi":
-        return MPIBackend()
-    raise ValueError(f"unknown mp backend {name!r}; expected one of {list(MP_BACKENDS)}")
+#: The transports by the name ``mp-conservative.backend`` selects them.
+MP_BACKENDS = {"mp": MultiprocessingBackend, "inline": InlineBackend}

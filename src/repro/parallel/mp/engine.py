@@ -33,19 +33,15 @@ the master no longer holds the events needed to continue locally.
 
 from __future__ import annotations
 
+from functools import partial
 from math import inf
 from typing import Any
 
 from repro.network.config import NetworkConfig
-from repro.parallel.mp.channels import (
-    MP_BACKENDS,
-    WorkerFailure,
-    have_mpi4py,
-    make_backend,
-)
+from repro.parallel.mp.channels import MP_BACKENDS, WorkerFailure
 from repro.parallel.mp.merge import capture_base, merge_into_master
-from repro.parallel.partition import PartitionError, plan_partitions
-from repro.parallel.runtime import resolve_lookahead
+from repro.parallel.mp.recipe import extract_recipe
+from repro.parallel.runtime import conservative_engine
 from repro.pdes.conservative import ConservativeEngine
 from repro.pdes.event import Event
 
@@ -88,19 +84,23 @@ class MpConservativeEngine(ConservativeEngine):
         """``"distributed"``, ``"local"``, or ``"undecided"``."""
         return self._mode or "undecided"
 
-    def bind_model_source(self, session, recipe_blob: bytes | None,
-                          reason: str | None) -> None:
-        """Receive the distillation of the built session.
-
-        Called by :meth:`repro.union.session.SimulationSession.build`;
-        ``recipe_blob`` is ``None`` when the model is not distributable,
-        with ``reason`` explaining why (it becomes ``fallback_reason``).
-        """
+    def bind_model_source(self, session) -> None:
+        """Distill the built ``session`` into the recipe workers rebuild
+        the model from.  A model that is not distributable has none;
+        why becomes ``fallback_reason``."""
         self._session = session
-        self._recipe_blob = recipe_blob
-        if recipe_blob is None and self._mode is None:
+        self._recipe_blob, reason = extract_recipe(session)
+        if self._recipe_blob is None and self._mode is None:
             self._mode = "local"
             self.fallback_reason = reason
+
+    def describe(self) -> dict[str, Any]:
+        # Whether the run actually distributed, and if not, the
+        # user-facing reason it fell back.
+        info = super().describe()
+        info["mode"] = self.execution_mode
+        info["fallback"] = self.fallback_reason
+        return info
 
     # -- mode decision -----------------------------------------------------
     def _launch(self) -> None:
@@ -114,7 +114,7 @@ class MpConservativeEngine(ConservativeEngine):
             return
         backend = None
         try:
-            backend = make_backend(self.backend_name)
+            backend = MP_BACKENDS[self.backend_name]()
             backend.launch(self._recipe_blob, self.n_partitions)
             floors = []
             for p in range(self.n_partitions):
@@ -233,7 +233,7 @@ class MpConservativeEngine(ConservativeEngine):
         merge_into_master(self._session, self._base, snaps, self._held_opens,
                           self._fired)
 
-    def shutdown_workers(self) -> None:
+    def close(self) -> None:
         """Exit and reap the worker processes (idempotent).
 
         Called by the session at finalize; all state has been merged by
@@ -264,26 +264,10 @@ def mp_conservative_engine(
 
     Same contract as :func:`~repro.parallel.runtime.conservative_engine`
     (plan derivation, lookahead validation), plus transport selection:
-    ``backend`` is one of ``"mp"`` (spawned processes, default),
-    ``"inline"`` (in-process protocol emulation) or ``"mpi"``
-    (mpi4py; requires the package and an ``mpiexec`` launch).
+    ``backend`` is ``"mp"`` (spawned processes, default) or
+    ``"inline"`` (in-process protocol emulation).
     """
-    if backend not in MP_BACKENDS:
-        raise PartitionError(
-            f"unknown mp backend {backend!r}; expected one of {list(MP_BACKENDS)}"
-        )
-    if backend == "mpi" and not have_mpi4py():
-        raise PartitionError(
-            "backend 'mpi' requires mpi4py, which is not installed; "
-            "use backend='mp' (default) or backend='inline'"
-        )
-    config = config or NetworkConfig()
-    plan = plan_partitions(topo, partitions)
-    engine = MpConservativeEngine(
-        lookahead=resolve_lookahead(topo, config, plan, lookahead),
-        n_partitions=partitions,
-        partition_fn=plan,
-        backend=backend,
+    return conservative_engine(
+        topo, config, partitions, lookahead,
+        engine_cls=partial(MpConservativeEngine, backend=backend),
     )
-    engine.plan = plan
-    return engine

@@ -190,7 +190,6 @@ class WorkerSession:
             eng.windows_executed += 1
             before = eng.committed_by_partition[self.partition]
             committed, _ = eng.commit_window(window_end, until)
-            eng.events_processed += committed
             if committed > eng.max_window_events:
                 eng.max_window_events = committed
             # Only commits charged to our own partition count toward the
@@ -249,36 +248,3 @@ def worker_main(conn, blob: bytes, partition: int) -> None:
             break
     conn.close()
 
-
-def mpi_worker_loop() -> None:  # pragma: no cover - requires mpi4py + mpiexec
-    """Request/reply loop for nonzero MPI ranks (``backend="mpi"``).
-
-    Launch as ``mpiexec -n <partitions + 1> python your_driver.py`` with
-    the driver calling :func:`mpi_worker_loop` on every rank except 0;
-    rank 0 runs the normal session code with ``backend="mpi"``.
-    """
-    from mpi4py import MPI
-
-    comm = MPI.COMM_WORLD
-    ws = None
-    while True:
-        msg = comm.recv(source=0, tag=1)
-        tag = msg[0]
-        if tag == "build":
-            _tag, blob, partition = msg
-            try:
-                ws = WorkerSession(pickle.loads(blob), partition)
-            except BaseException as exc:  # noqa: BLE001
-                comm.send(("error", f"{type(exc).__name__}: {exc}"), dest=0, tag=2)
-                return
-            comm.send(("ready", partition), dest=0, tag=2)
-            continue
-        if tag == "exit":
-            comm.send(("bye",), dest=0, tag=2)
-            return
-        try:
-            reply = ws.handle(msg)
-        except BaseException as exc:  # noqa: BLE001
-            comm.send(("error", f"{type(exc).__name__}: {exc}"), dest=0, tag=2)
-            return
-        comm.send(reply, dest=0, tag=2)

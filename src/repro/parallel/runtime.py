@@ -1,4 +1,4 @@
-"""Build partitioned conservative engines and expose their runtime stats.
+"""Build partitioned conservative engines.
 
 :func:`conservative_engine` is the one entry point the registry, the
 workload manager and the benchmarks share: topology in, ready-to-run
@@ -9,16 +9,14 @@ tighter one explicitly.  An explicit lookahead *wider* than the
 topology supports is refused up front -- it would let the engine commit
 windows the real link latencies cannot justify.
 
-:func:`bind_engine_telemetry` publishes the engine's execution stats as
-observable gauges under ``pdes.conservative.*`` (window count, window
-width, per-partition committed events); evaluated at export time, they
-cost nothing during simulation.  It is a no-op for unpartitioned
-engines, so the fabric calls it unconditionally.
+The engine's execution stats (window count, window width,
+per-partition committed events) are published as ``pdes.conservative.*``
+gauges by :meth:`repro.pdes.engine.Engine.bind_telemetry`.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.network.config import NetworkConfig
 from repro.parallel.partition import (
@@ -28,6 +26,7 @@ from repro.parallel.partition import (
     plan_partitions,
 )
 from repro.pdes.conservative import ConservativeEngine
+from repro.pdes.engine import Engine
 
 
 def conservative_engine(
@@ -35,9 +34,9 @@ def conservative_engine(
     config: NetworkConfig | None = None,
     partitions: int = 4,
     lookahead: float | None = None,
-    engine_cls: type[ConservativeEngine] = ConservativeEngine,
-) -> ConservativeEngine:
-    """A :class:`ConservativeEngine` partitioned for ``topo``.
+    engine_cls: Callable[..., Engine] = ConservativeEngine,
+) -> Engine:
+    """A windowing engine partitioned for ``topo``.
 
     Parameters
     ----------
@@ -56,9 +55,9 @@ def conservative_engine(
         most the minimum cross-partition link latency of the plan;
         ``None`` (the default) uses that minimum directly.
     engine_cls:
-        The :class:`ConservativeEngine` subclass to instantiate (the
-        accelerated engines reuse this plan/lookahead derivation with
-        their own scheduler core).
+        The engine to instantiate, taking :class:`ConservativeEngine`'s
+        constructor arguments (the compiled engine reuses this
+        plan/lookahead derivation with its own scheduler core).
     """
     config = config or NetworkConfig()
     plan = plan_partitions(topo, partitions)
@@ -109,41 +108,4 @@ def resolve_lookahead(
     return lookahead
 
 
-def bind_engine_telemetry(engine: Any, telemetry: Any) -> None:
-    """Publish a partitioned engine's stats as ``pdes.conservative.*``.
-
-    Observable gauges (closures over the live engine), registered with
-    ``replace=True`` so a fresh engine on a shared telemetry session
-    supersedes a finished one, like every other fabric instrument.
-    No-op unless ``engine`` is a :class:`ConservativeEngine`.
-    """
-    if not isinstance(engine, ConservativeEngine):
-        return
-    t = telemetry
-    t.gauge("pdes.conservative.partitions", unit="partitions", replace=True,
-            doc="LP partitions the engine executes over",
-            fn=lambda: engine.n_partitions)
-    t.gauge("pdes.conservative.window_width", unit="seconds", replace=True,
-            doc="YAWNS window width (the lookahead)",
-            fn=lambda: engine.lookahead)
-    t.gauge("pdes.conservative.windows", unit="windows", replace=True,
-            doc="lookahead windows executed",
-            fn=lambda: engine.windows_executed)
-    t.gauge("pdes.conservative.max_window_events", unit="events", replace=True,
-            doc="events committed in the widest window",
-            fn=lambda: engine.max_window_events)
-    for p in range(engine.n_partitions):
-        t.gauge(f"pdes.conservative.partition.{p}.committed", unit="events",
-                replace=True, doc=f"events committed by partition {p}",
-                fn=lambda p=p: engine.committed_by_partition[p])
-
-
-__all__ = [
-    "PartitionError",
-    "PartitionPlan",
-    "bind_engine_telemetry",
-    "conservative_engine",
-    "min_cross_partition_latency",
-    "plan_partitions",
-    "resolve_lookahead",
-]
+__all__ = ["conservative_engine", "resolve_lookahead"]

@@ -187,9 +187,12 @@ class ConservativeEngine(Engine):
             # Leave the engine re-runnable on *every* exit path,
             # including a handler raising mid-window: clear the
             # executing-partition marker (it gates the lookahead check
-            # in _push) and the seq origin.
+            # in _push) and the seq origin, and count what committed
+            # here, where a raise cannot lose the partial window
+            # (post-mortem reporting reads events_processed).
             self._current_partition = -1
             self._origin = -1
+            self.events_processed += committed
         return committed, budget_hit
 
     def run(self, until: float = float("inf"), max_events: int | None = None) -> float:
@@ -200,21 +203,18 @@ class ConservativeEngine(Engine):
         committed = 0
         q = self._queue
         lookahead = self.lookahead
-        try:
-            while q and not budget_hit:
-                floor = q[0][0]
-                if floor > until:
-                    break  # nothing left inside the horizon
-                window_end = floor + lookahead
-                self.windows_executed += 1
-                window_events, budget_hit = self.commit_window(
-                    window_end, until, -1 if budget < 0 else budget - committed
-                )
-                committed += window_events
-                if window_events > self.max_window_events:
-                    self.max_window_events = window_events
-        finally:
-            self.events_processed += committed
+        while q and not budget_hit:
+            floor = q[0][0]
+            if floor > until:
+                break  # nothing left inside the horizon
+            window_end = floor + lookahead
+            self.windows_executed += 1
+            window_events, budget_hit = self.commit_window(
+                window_end, until, -1 if budget < 0 else budget - committed
+            )
+            committed += window_events
+            if window_events > self.max_window_events:
+                self.max_window_events = window_events
         if not budget_hit and self.now < until < float("inf"):
             self.now = until
         self._run_end_hooks()

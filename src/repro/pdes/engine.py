@@ -14,15 +14,38 @@ class Engine:
     Concrete engines differ only in *how* they order and commit events;
     the model-facing API (:meth:`register`, :meth:`schedule`,
     :meth:`schedule_at`, :meth:`run`, :attr:`now`) is identical, so a
-    model written against :class:`Engine` runs unmodified on the
-    sequential, conservative and optimistic schedulers.
+    model written against :class:`Engine` runs unmodified on every
+    scheduler.
+
+    What *kind* of engine an instance is -- windowed or not, which
+    backend runs its loop, whether it distributes -- is data on the
+    instance (the attributes below) plus five hooks with no-op defaults
+    (:meth:`adopt_fabric`, :meth:`bind_model_source`,
+    :meth:`bind_telemetry`, :meth:`describe`, :meth:`close`).  The
+    layers above call the hooks unconditionally and never ask an engine
+    what class it is.
     """
 
-    #: Number of partitions the engine executes over.  1 for the
-    #: sequential and optimistic engines; the conservative engine
-    #: overrides it.  Model layers (e.g. the MPI runtime) consult this
+    #: Number of partitions the engine executes over (1 when it does
+    #: not window).  Model layers (e.g. the MPI runtime) consult this
     #: to co-locate their control LPs with the partitions they serve.
     n_partitions: int = 1
+    #: YAWNS window width in seconds; ``None`` on an engine that does
+    #: not window.  A windowing engine also keeps ``windows_executed``,
+    #: ``max_window_events`` and ``committed_by_partition``.
+    lookahead: float | None = None
+    #: The :class:`~repro.parallel.partition.PartitionPlan` the engine
+    #: was partitioned with, when a factory derived one.
+    plan: Any = None
+    #: Set on engines built through an ``accel-*`` preset: the backend
+    #: that actually runs the loop (``"compiled"``/``"python"``),
+    #: whether the network fabric is ``"resident"`` in the kernel or
+    #: runs as ``"python"`` LPs, and -- never empty when the answer is
+    #: not the fast one -- why.
+    backend: str | None = None
+    backend_reason: str = ""
+    fabric: str = "python"
+    fabric_reason: str = ""
 
     #: Bit width reserved for the per-origin event counter in ``seq``
     #: (see :meth:`schedule_fast`): 2^40 events per origin before the
@@ -164,6 +187,70 @@ class Engine:
     def _run_end_hooks(self) -> None:
         for fn in self._end_hooks:
             fn()
+
+    # -- what the layers above ask of every engine --------------------------
+    def adopt_fabric(self, fabric: Any) -> None:
+        """Called by :class:`~repro.network.fabric.NetworkFabric` at the
+        end of its construction.  The compiled engine takes ownership of
+        the fabric's state here; the others run its LPs as they are."""
+
+    def bind_model_source(self, session: Any) -> None:
+        """Called by :meth:`SimulationSession.build` with the built
+        session.  A distributing engine distills it into what its
+        workers rebuild the model from."""
+
+    def bind_telemetry(self, telemetry: Any) -> None:
+        """Publish the engine's execution stats: a windowing engine's
+        window count, width and per-partition commits as
+        ``pdes.conservative.*`` observable gauges (closures over the
+        live engine, evaluated at export time, registered with
+        ``replace=True`` so a fresh engine on a shared telemetry
+        session supersedes a finished one); nothing otherwise."""
+        if self.lookahead is None:
+            return
+        t = telemetry
+        t.gauge("pdes.conservative.partitions", unit="partitions", replace=True,
+                doc="LP partitions the engine executes over",
+                fn=lambda: self.n_partitions)
+        t.gauge("pdes.conservative.window_width", unit="seconds", replace=True,
+                doc="YAWNS window width (the lookahead)",
+                fn=lambda: self.lookahead)
+        t.gauge("pdes.conservative.windows", unit="windows", replace=True,
+                doc="lookahead windows executed",
+                fn=lambda: self.windows_executed)
+        t.gauge("pdes.conservative.max_window_events", unit="events", replace=True,
+                doc="events committed in the widest window",
+                fn=lambda: self.max_window_events)
+        for p in range(self.n_partitions):
+            t.gauge(f"pdes.conservative.partition.{p}.committed", unit="events",
+                    replace=True, doc=f"events committed by partition {p}",
+                    fn=lambda p=p: self.committed_by_partition[p])
+
+    def describe(self) -> dict[str, Any]:
+        """What this run resolved, for the scenario JSON ``engine``
+        stanza (next to the spec's own ``[engine]`` table): a windowing
+        engine's ``partitions``/``lookahead``/``windows``/``scheme``,
+        a distributing engine's ``mode``/``fallback``, an ``accel-*``
+        engine's ``backend``/``backend_reason``/``fabric``/
+        ``fabric_reason``.  Empty for the plain sequential engine."""
+        info: dict[str, Any] = {}
+        if self.lookahead is not None:
+            info["partitions"] = self.n_partitions
+            info["lookahead"] = self.lookahead
+            info["windows"] = self.windows_executed
+            if self.plan is not None:
+                info["scheme"] = self.plan.scheme
+        if self.backend is not None:
+            info["backend"] = self.backend
+            info["backend_reason"] = self.backend_reason or None
+            info["fabric"] = self.fabric
+            info["fabric_reason"] = self.fabric_reason or None
+        return info
+
+    def close(self) -> None:
+        """Release what the engine holds outside this process (worker
+        processes).  Called by :meth:`SimulationSession.finalize`, after
+        every result has been read; idempotent."""
 
     # -- to be provided by concrete engines ---------------------------------
     def _push(self, ev: Event) -> None:

@@ -53,8 +53,8 @@ class Event:
     src:
         Originating LP id (or ``-1`` for external/initial events).
     send_time:
-        Time at which the event was scheduled; used by Time Warp for
-        causality checks and anti-message matching.
+        Time at which the event was scheduled; the windowing engines
+        check the cross-partition lookahead contract against it.
     """
 
     __slots__ = ("time", "dst", "kind", "data", "priority", "src", "send_time", "seq")
@@ -96,7 +96,8 @@ class Event:
         return (self.time, self.priority, self.seq)
 
     def uid(self) -> tuple[float, int, int, int]:
-        """Identity used for anti-message matching in Time Warp."""
+        """Identity of one scheduled event across queues (anti-message
+        matching in the Time Warp oracle under ``tests/pdes``)."""
         return (self.time, self.priority, self.seq, self.dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

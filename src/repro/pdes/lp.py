@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pdes.engine import Engine
@@ -12,10 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class LP:
     """A logical process: a state machine driven by timestamped events.
 
-    Subclasses implement :meth:`handle`.  LPs that run under the
-    optimistic engine must additionally implement :meth:`save_state` /
-    :meth:`load_state` (the defaults raise, making the requirement
-    explicit rather than silently wrong).
+    Subclasses implement :meth:`handle`.
     """
 
     __slots__ = ("lp_id", "engine")
@@ -34,18 +31,3 @@ class LP:
     def handle(self, event: "Event") -> None:
         """Process one event.  May schedule new events via ``self.engine``."""
         raise NotImplementedError
-
-    # -- optimistic-execution support -------------------------------------
-    def save_state(self) -> Any:
-        """Return an opaque snapshot of the LP's mutable state."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support state saving; "
-            "it cannot run under TimeWarpEngine"
-        )
-
-    def load_state(self, state: Any) -> None:
-        """Restore a snapshot previously produced by :meth:`save_state`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support state restore; "
-            "it cannot run under TimeWarpEngine"
-        )

@@ -27,9 +27,11 @@ from repro.registry.generators import (
     register_generator,
 )
 from repro.registry.engines import (
+    ENGINE_AXES,
     EngineSpec,
     available_engines,
     build_engine,
+    engine_axes,
     engine_registry,
     register_engine,
 )
@@ -71,6 +73,7 @@ from repro.registry.topologies import (
 __all__ = [
     "Capabilities",
     "ComponentSpec",
+    "ENGINE_AXES",
     "EngineSpec",
     "GeneratorSpec",
     "Param",
@@ -91,6 +94,7 @@ __all__ = [
     "build_generator",
     "build_policy",
     "build_topology",
+    "engine_axes",
     "engine_registry",
     "generator_registry",
     "policy_registry",

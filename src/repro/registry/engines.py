@@ -1,35 +1,32 @@
-"""Engine registry: PDES execution engines as named, parameterized specs.
+"""Engine registry: PDES execution engines as named presets over three axes.
 
-The paper runs its simulations on CODES/ROSS in conservative (YAWNS)
-mode; this registry makes the execution engine a pluggable component
-like topologies and routings, so a scenario's ``[engine]`` table, the
-CLI's ``--engine``/``--partitions`` flags and
+The paper runs its simulations on CODES/ROSS, where sequential and
+conservative (YAWNS) execution are modes of one engine; this registry
+makes the execution engine a pluggable component like topologies and
+routings, so a scenario's ``[engine]`` table, the CLI's
+``--engine``/``--partitions`` flags and
 :class:`~repro.union.manager.WorkloadManager`'s ``engine`` parameter
-all resolve through one roster:
+all resolve through one roster.  An engine is a point on three axes --
 
-``sequential``
-    The single-queue deterministic scheduler (the default).
-``conservative``
-    Partitioned YAWNS execution: LPs are split topology-aware (whole
-    dragonfly groups / fat-tree pods / torus slabs per partition) and
-    the lookahead derives from the minimum cross-partition link latency
-    unless ``lookahead`` pins a tighter value explicitly.  Commits the
-    identical event sequence as ``sequential`` (see ``docs/engines.md``).
-``mp-conservative``
-    The same YAWNS execution distributed for real: one worker process
-    per partition, cross-partition events exchanged at window
-    boundaries, results bit-identical to ``sequential``.  Models that
+``windowing``
+    ``none`` (one queue, commit in key order) or ``yawns`` (LPs split
+    topology-aware -- whole dragonfly groups / fat-tree pods / torus
+    slabs per partition -- and committed in lookahead windows; the
+    lookahead derives from the minimum cross-partition link latency
+    unless ``lookahead`` pins a tighter value).
+``backend``
+    ``python`` or ``compiled`` (the loop in the :mod:`repro.accel` C
+    kernel; a host that cannot build it falls back to the
+    bit-identical Python engine with the reason recorded, and
+    ``backend = "python"`` in the table forces that).
+``layout``
+    ``in-process`` or ``mp`` (one worker process per partition,
+    cross-partition events exchanged at window boundaries; models that
     cannot be distributed fall back to single-process execution with
-    the reason recorded (``docs/engines.md``).
-``timewarp``
-    Optimistic Time Warp execution: speculative event handling with
-    state rollback and periodic GVT commitment.
-``accel-sequential`` / ``accel-conservative``
-    The sequential / YAWNS schedulers with the event loop in the
-    compiled :mod:`repro.accel` kernel.  ``backend: compiled`` (the
-    default) uses the C kernel when it can be built and falls back to
-    the bit-identical pure-Python engine otherwise, recording the
-    reason; ``backend: python`` forces the fallback.
+    the reason recorded).
+
+-- and the roster names the five points that exist (``docs/engines.md``
+has the table).  Every preset commits the identical event sequence.
 
 Engine factories need the live topology (and link config) to build
 their partition plan, so :func:`build_engine` takes both -- unlike
@@ -38,7 +35,7 @@ topology specs, an engine table cannot be instantiated standalone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.network.config import NetworkConfig
@@ -47,22 +44,47 @@ from repro.pdes.sequential import SequentialEngine
 from repro.registry.core import ComponentSpec, Param, Registry, _err
 
 
+#: The axes and their values, first value = the default.
+ENGINE_AXES = {
+    "windowing": ("none", "yawns"),
+    "backend": ("python", "compiled"),
+    "layout": ("in-process", "mp"),
+}
+
+
+def engine_axes(**chosen: str) -> dict[str, str]:
+    """A point on :data:`ENGINE_AXES`: the defaults, except ``chosen``."""
+    axes = {axis: values[0] for axis, values in ENGINE_AXES.items()}
+    for axis, value in chosen.items():
+        if value not in ENGINE_AXES[axis]:
+            raise ValueError(f"no {axis}={value!r} in {ENGINE_AXES[axis]}")
+        axes[axis] = value
+    return axes
+
+
 @dataclass(frozen=True)
 class EngineSpec(ComponentSpec):
     """One registered PDES engine.
 
-    ``factory(topo, config, **params) -> Engine`` builds a fresh engine
-    for one simulation; engines hold per-run LP state, so they are never
-    shared between runs.
+    A preset states its ``axes`` and is built by :func:`_build_preset`;
+    an engine from outside the roster brings its own
+    ``factory(topo, config, **params) -> Engine``.  Either way a fresh
+    engine is built for each simulation: engines hold per-run LP state,
+    so they are never shared between runs.
     """
 
+    axes: Mapping[str, str] = field(default_factory=engine_axes)
     factory: Callable[..., Engine] | None = None
-    partitioned: bool = False
+
+    @property
+    def partitioned(self) -> bool:
+        return self.axes["windowing"] != "none"
 
     def build(self, topo: Any, config: NetworkConfig | None,
               params: Mapping[str, Any]) -> Engine:
-        assert self.factory is not None
-        return self.factory(topo, config, **params)
+        if self.factory is not None:
+            return self.factory(topo, config, **params)
+        return _build_preset(self.axes, topo, config, **params)
 
 
 engine_registry = Registry("engine")
@@ -71,8 +93,6 @@ engine_registry = Registry("engine")
 def register_engine(spec: EngineSpec, aliases: tuple[str, ...] = (),
                     replace: bool = False) -> EngineSpec:
     """Add an execution engine to the roster (``docs/engines.md``)."""
-    if spec.factory is None:
-        raise ValueError(f"engine {spec.name!r} needs a factory")
     engine_registry.register(spec, aliases=aliases, replace=replace)
     return spec
 
@@ -109,75 +129,53 @@ def available_engines() -> tuple[str, ...]:
 
 # -- built-in roster ---------------------------------------------------------
 
-def _sequential_factory(topo: Any, config: NetworkConfig | None) -> Engine:
+def _build_preset(axes: Mapping[str, str], topo: Any,
+                  config: NetworkConfig | None, **params: Any) -> Engine:
+    """The one factory behind every preset: ``axes`` pick the engine,
+    ``params`` (the preset's declared parameters, resolved) size it."""
+    windowed = axes["windowing"] == "yawns"
+    if axes["layout"] == "mp":
+        from repro.parallel.mp import mp_conservative_engine
+
+        return mp_conservative_engine(topo, config, **params)
+    if axes["backend"] == "compiled":
+        from repro import accel
+
+        if windowed:
+            return accel.accel_conservative_engine(topo, config, **params)
+        return accel.accel_sequential_engine(**params)
+    if windowed:
+        from repro.parallel import conservative_engine
+
+        return conservative_engine(topo, config, **params)
     return SequentialEngine()
 
 
-def _conservative_factory(topo: Any, config: NetworkConfig | None,
-                          partitions: int, lookahead: float | None) -> Engine:
-    from repro.parallel import conservative_engine
-
-    return conservative_engine(topo, config, partitions=partitions,
-                               lookahead=lookahead)
-
-
-def _mp_conservative_factory(topo: Any, config: NetworkConfig | None,
-                             partitions: int, lookahead: float | None,
-                             backend: str) -> Engine:
-    from repro.parallel.mp import mp_conservative_engine
-
-    return mp_conservative_engine(topo, config, partitions=partitions,
-                                  lookahead=lookahead, backend=backend)
-
-
-def _timewarp_factory(topo: Any, config: NetworkConfig | None,
-                      gvt_interval: int) -> Engine:
-    from repro.pdes.timewarp import TimeWarpEngine
-
-    return TimeWarpEngine(gvt_interval=gvt_interval)
-
-
-def _accel_sequential_factory(topo: Any, config: NetworkConfig | None,
-                              backend: str) -> Engine:
-    from repro.accel import accel_sequential_engine
-
-    return accel_sequential_engine(backend=backend)
-
-
-def _accel_conservative_factory(topo: Any, config: NetworkConfig | None,
-                                partitions: int, lookahead: float | None,
-                                backend: str) -> Engine:
-    from repro.accel import accel_conservative_engine
-
-    return accel_conservative_engine(topo, config, partitions=partitions,
-                                     lookahead=lookahead, backend=backend)
-
-
-_BACKEND_DOC = ("event-loop backend: 'compiled' (the C kernel, falling "
-                "back cleanly with the reason recorded when it cannot be "
-                "built) or 'python' (force the pure-Python fallback)")
+_PARTITIONS = Param("partitions", "int",
+                    "LP partitions (grouped topology-aware)",
+                    default=4, minimum=1)
+_LOOKAHEAD = Param("lookahead", "float",
+                   "explicit lookahead override in seconds (default: derived "
+                   "from the partition plan's cross-partition links)",
+                   default=None)
+_ACCEL_BACKEND = Param("backend", "str",
+                       "event-loop backend: 'compiled' (the C kernel, falling "
+                       "back cleanly with the reason recorded when it cannot "
+                       "be built) or 'python' (force the pure-Python fallback)",
+                       default="compiled", choices=("compiled", "python"))
 
 
 register_engine(EngineSpec(
     name="sequential",
     summary="deterministic single-queue event scheduler (the default)",
-    factory=_sequential_factory,
 ), aliases=("seq",))
 
 register_engine(EngineSpec(
     name="conservative",
     summary="partitioned YAWNS execution, lookahead from the minimum "
             "cross-partition link latency",
-    params=(
-        Param("partitions", "int", "LP partitions (grouped topology-aware)",
-              default=4, minimum=1),
-        Param("lookahead", "float",
-              "explicit lookahead override in seconds (default: derived "
-              "from the partition plan's cross-partition links)",
-              default=None),
-    ),
-    factory=_conservative_factory,
-    partitioned=True,
+    params=(_PARTITIONS, _LOOKAHEAD),
+    axes=engine_axes(windowing="yawns"),
 ), aliases=("yawns",))
 
 register_engine(EngineSpec(
@@ -188,42 +186,21 @@ register_engine(EngineSpec(
         Param("partitions", "int", "LP partitions (grouped topology-aware), "
               "one worker process each",
               default=4, minimum=1),
-        Param("lookahead", "float",
-              "explicit lookahead override in seconds (default: derived "
-              "from the partition plan's cross-partition links)",
-              default=None),
+        _LOOKAHEAD,
         Param("backend", "str",
               "cross-process transport: 'mp' (spawned processes over "
-              "pipes), 'inline' (in-process protocol emulation) or 'mpi' "
-              "(mpi4py ranks; requires mpi4py)",
-              default="mp", choices=("mp", "inline", "mpi")),
+              "pipes) or 'inline' (in-process protocol emulation)",
+              default="mp", choices=("mp", "inline")),
     ),
-    factory=_mp_conservative_factory,
-    partitioned=True,
+    axes=engine_axes(windowing="yawns", layout="mp"),
 ), aliases=("mp",))
-
-register_engine(EngineSpec(
-    name="timewarp",
-    summary="optimistic Time Warp execution with rollback and periodic "
-            "GVT commitment",
-    params=(
-        Param("gvt_interval", "int",
-              "events executed between GVT (global virtual time) "
-              "computations",
-              default=64, minimum=1),
-    ),
-    factory=_timewarp_factory,
-), aliases=("tw",))
 
 register_engine(EngineSpec(
     name="accel-sequential",
     summary="sequential scheduling with the event loop in the compiled "
             "repro.accel kernel (bit-identical pure-Python fallback)",
-    params=(
-        Param("backend", "str", _BACKEND_DOC,
-              default="compiled", choices=("compiled", "python")),
-    ),
-    factory=_accel_sequential_factory,
+    params=(_ACCEL_BACKEND,),
+    axes=engine_axes(backend="compiled"),
 ), aliases=("fast",))
 
 register_engine(EngineSpec(
@@ -231,16 +208,6 @@ register_engine(EngineSpec(
     summary="partitioned YAWNS execution with the window loop in the "
             "compiled repro.accel kernel (bit-identical pure-Python "
             "fallback)",
-    params=(
-        Param("partitions", "int", "LP partitions (grouped topology-aware)",
-              default=4, minimum=1),
-        Param("lookahead", "float",
-              "explicit lookahead override in seconds (default: derived "
-              "from the partition plan's cross-partition links)",
-              default=None),
-        Param("backend", "str", _BACKEND_DOC,
-              default="compiled", choices=("compiled", "python")),
-    ),
-    factory=_accel_conservative_factory,
-    partitioned=True,
+    params=(_PARTITIONS, _LOOKAHEAD, _ACCEL_BACKEND),
+    axes=engine_axes(windowing="yawns", backend="compiled"),
 ), aliases=("fast-yawns",))

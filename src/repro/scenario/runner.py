@@ -317,35 +317,9 @@ def reduce_scenario_result(spec: ScenarioSpec, outcome: RunOutcome) -> ScenarioR
     ]
     engine_info = None
     if spec.engine is not None:
-        # The spec's table plus what the run resolved: the partitioned
-        # engine reports its derived lookahead, plan scheme and window
-        # count (sequential runs add only the engine name).
+        # The spec's table plus what the run resolved (Engine.describe).
         engine_info = dict(spec.engine)
-        eng = outcome.fabric.engine
-        if hasattr(eng, "windows_executed"):
-            engine_info["partitions"] = eng.n_partitions
-            engine_info["lookahead"] = eng.lookahead
-            engine_info["windows"] = eng.windows_executed
-            plan = getattr(eng, "plan", None)
-            if plan is not None:
-                engine_info["scheme"] = plan.scheme
-        mode = getattr(eng, "execution_mode", None)
-        if mode is not None:
-            # mp-conservative: whether the run actually distributed, and
-            # if not, the user-facing reason it fell back.
-            engine_info["mode"] = mode
-            engine_info["fallback"] = eng.fallback_reason
-        backend = getattr(eng, "backend", None)
-        if backend is not None:
-            # accel engines: which backend actually ran ('compiled' or
-            # 'python'), and the user-facing reason when it is not the
-            # compiled kernel.
-            engine_info["backend"] = backend
-            engine_info["backend_reason"] = eng.backend_reason or None
-            # ... and whether the network fabric was resident in the
-            # kernel or ran as Python LPs ('python', with the reason).
-            engine_info["fabric"] = eng.fabric
-            engine_info["fabric_reason"] = eng.fabric_reason or None
+        engine_info.update(outcome.fabric.engine.describe())
     faults_info = None
     if spec.faults:
         def fault_val(metric: str) -> int:

@@ -231,15 +231,9 @@ class SimulationSession:
         else:
             self._setup_static()
         self.mpi.start()
-        # Distributing engines (repro.parallel.mp) need the built model
-        # distilled into a worker recipe -- or the reason that is
-        # impossible, which becomes their single-process fallback reason.
-        engine = self.fabric.engine
-        if hasattr(engine, "bind_model_source"):
-            from repro.parallel.mp.recipe import extract_recipe
-
-            recipe_blob, reason = extract_recipe(self)
-            engine.bind_model_source(self, recipe_blob, reason)
+        # A distributing engine (repro.parallel.mp) distills the built
+        # model into a worker recipe here.
+        self.fabric.engine.bind_model_source(self)
         self._built = True
         return self
 
@@ -342,9 +336,7 @@ class SimulationSession:
         self.mpi.publish_job_metrics()
         # A distributed engine has merged all worker state by now; its
         # processes only need releasing.
-        shutdown = getattr(self.engine, "shutdown_workers", None)
-        if shutdown is not None:
-            shutdown()
+        self.engine.close()
         apps = []
         not_started: list[tuple[str, str]] = []
         results = self.mpi.results()

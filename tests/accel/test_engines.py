@@ -9,7 +9,6 @@ host being able to build the kernel; the forced-``python`` cases run
 unconditionally, so fallback parity can never go vacuous.
 """
 
-import json
 import os
 import shutil
 
@@ -19,7 +18,7 @@ from repro.accel import kernel_status
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.registry import RegistryError, build_engine, engine_registry
-from repro.scenario import parse_scenario, run_scenario
+from repro.scenario import oracle, parse_scenario, run_scenario
 
 COMPILED = kernel_status()["available"]
 needs_kernel = pytest.mark.skipif(
@@ -76,8 +75,7 @@ def _scenario(engine_table):
 
 
 def _result_json(engine_table):
-    doc = run_scenario(_scenario(engine_table)).to_json_dict()
-    return doc.pop("engine"), json.dumps(doc, sort_keys=True)
+    return oracle.split(run_scenario(_scenario(engine_table)).to_json_dict())
 
 
 def test_python_backend_bit_identical_to_sequential():
@@ -127,14 +125,14 @@ def test_python_conservative_bit_identical_to_sequential():
 def test_stepping_commits_identical_sequence():
     """step(t1); step(t2) == run(t2) on the compiled kernel -- the
     session-lifecycle contract the stepwise drivers build on."""
-    from repro.accel import AccelSequentialEngine
+    from repro.accel import KernelEngine
     from tests.pdes.phold import build_phold, fingerprint
 
-    ref = AccelSequentialEngine()
+    ref = KernelEngine()
     ref_lps = build_phold(ref, n_lps=10, seed=23, initial=3)
     ref.run(until=60.0)
 
-    eng = AccelSequentialEngine()
+    eng = KernelEngine()
     lps = build_phold(eng, n_lps=10, seed=23, initial=3)
     for k in range(1, 13):
         eng.step(until=5.0 * k)
@@ -147,7 +145,7 @@ def test_stepping_commits_identical_sequence():
 
 @needs_kernel
 def test_compiled_engine_counters_and_budget():
-    from repro.accel import AccelSequentialEngine
+    from repro.accel import KernelEngine
     from repro.pdes.sequential import SequentialEngine
     from tests.pdes.phold import build_phold
 
@@ -155,7 +153,7 @@ def test_compiled_engine_counters_and_budget():
     build_phold(ref, n_lps=8, seed=5, initial=2)
     ref.run(until=30.0, max_events=100)
 
-    eng = AccelSequentialEngine()
+    eng = KernelEngine()
     build_phold(eng, n_lps=8, seed=5, initial=2)
     eng.run(until=30.0, max_events=100)
     assert eng.events_processed == ref.events_processed == 100
@@ -170,7 +168,7 @@ def test_compiled_engine_counters_and_budget():
 
 @needs_kernel
 def test_compiled_conservative_rejects_lookahead_violation():
-    from repro.accel import AccelConservativeEngine
+    from repro.accel import KernelEngine
     from repro.pdes.lp import LP
 
     class Fwd(LP):
@@ -178,7 +176,7 @@ def test_compiled_conservative_rejects_lookahead_violation():
             # Cross-partition hop closer than the lookahead: illegal.
             self.engine.schedule(1e-9, dst=1, kind="tick")
 
-    eng = AccelConservativeEngine(lookahead=0.5, n_partitions=2)
+    eng = KernelEngine(lookahead=0.5, n_partitions=2)
     a, b = Fwd(), Fwd()
     eng.register(a, partition=0)
     eng.register(b, partition=1)

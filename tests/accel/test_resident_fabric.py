@@ -15,12 +15,7 @@ import random
 
 import pytest
 
-from repro.accel import (
-    AccelConservativeEngine,
-    AccelSequentialEngine,
-    kernel_status,
-    load_kernel,
-)
+from repro.accel import KernelEngine, kernel_status, load_kernel
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.dragonfly2d import Dragonfly2D
@@ -30,7 +25,7 @@ from repro.parallel import conservative_engine
 from repro.pdes.lp import LP
 from repro.pdes.rng import SplitMix
 from repro.pdes.sequential import SequentialEngine
-from repro.scenario import parse_scenario, run_scenario
+from repro.scenario import oracle, parse_scenario, run_scenario
 from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.skipif(
@@ -165,7 +160,7 @@ def reference(topo_name, routing, **kw):
 @pytest.mark.parametrize("topo_name", ["1d", "2d"])
 def test_one_run_matches_sequential(topo_name, routing):
     ref_fabric, ref_log = reference(topo_name, routing)
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, log = build(engine, TOPOLOGIES[topo_name](), routing)
     assert (engine.fabric, engine.fabric_reason) == ("resident", "")
     engine.run(until=HORIZON)
@@ -181,7 +176,7 @@ def test_twenty_steps_match_sequential_at_every_boundary(topo_name, routing):
     20 slices, on both engines."""
     ref_fabric, ref_log = build(SequentialEngine(), TOPOLOGIES[topo_name](),
                                 routing)
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, log = build(engine, TOPOLOGIES[topo_name](), routing)
     for k in range(1, 21):
         until = HORIZON * k / 20
@@ -193,7 +188,7 @@ def test_twenty_steps_match_sequential_at_every_boundary(topo_name, routing):
 @pytest.mark.parametrize("routing", ["min", "adp"])
 def test_budget_stop_and_resume_match_sequential(routing):
     ref_fabric, ref_log = build(SequentialEngine(), Dragonfly1D.mini(), routing)
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, log = build(engine, Dragonfly1D.mini(), routing)
     for budget in (1, 777, 5000):
         ref_fabric.engine.run(until=HORIZON, max_events=budget)
@@ -218,7 +213,7 @@ def test_raising_delivery_callback_leaves_accurate_state():
         return state, full_state(fabric, log)
 
     ref_raised, ref_done = run(SequentialEngine())
-    raised, done = run(AccelSequentialEngine())
+    raised, done = run(KernelEngine())
     assert_same(raised, ref_raised)
     assert_same(done, ref_done)
     assert raised["events"] > 0
@@ -232,7 +227,7 @@ def test_net_telemetry_disabled_matches_sequential_with_it_disabled():
         return fabric, full_state(fabric, log)
 
     ref_fabric, ref = run(SequentialEngine())
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, got = run(engine)
     assert engine.fabric == "resident"
     assert_same(got, ref)
@@ -252,7 +247,7 @@ def test_record_exactly_on_a_window_edge_matches():
         return fabric, full_state(fabric, log)
 
     ref_fabric, ref = run(SequentialEngine())
-    fabric, got = run(AccelSequentialEngine())
+    fabric, got = run(KernelEngine())
     assert_same(got, ref)
     assert any(ref_fabric.app_counter._edge_bins.values())
 
@@ -266,7 +261,7 @@ def test_conservative_windows_commit_natively_and_match(partitions):
     ref_engine.run(until=HORIZON)
     topo2 = Dragonfly1D.mini()
     engine = conservative_engine(topo2, cfg, partitions,
-                                 engine_cls=AccelConservativeEngine)
+                                 engine_cls=KernelEngine)
     fabric, log = build(engine, topo2, "adp", late=False)
     assert engine.fabric == "resident"
     engine.run(until=HORIZON)
@@ -294,7 +289,7 @@ def test_python_policy_is_asked_once_per_packet_and_matches():
         return fabric, calls, full_state(fabric, log)
 
     ref_fabric, ref_calls, ref = run(SequentialEngine())
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, calls, got = run(engine)
     assert engine.fabric == "resident"
     assert_same(got, ref)
@@ -323,13 +318,13 @@ def test_faults_stay_resident_and_match_sequential():
     """Bandwidth rescaling writes through to the kernel's port table and
     fault-aware rerouting goes through the policy seam: ``[[faults]]``
     does not cost the resident fabric."""
-    base = run_scenario(fault_spec({"type": "sequential"})).to_json_dict()
-    doc = run_scenario(fault_spec({"type": "accel-sequential"})).to_json_dict()
-    base.pop("engine")
-    info = doc.pop("engine")
+    result = run_scenario(fault_spec({"type": "accel-sequential"}))
+    _, base = oracle.split(
+        run_scenario(fault_spec({"type": "sequential"})).to_json_dict())
+    info, doc = oracle.split(result.to_json_dict())
     assert doc == base
     assert (info["fabric"], info["fabric_reason"]) == ("resident", None)
-    assert doc["faults"]["transitions"] == 4
+    assert result.faults["transitions"] == 4
 
 
 # -- adoption is refused loudly, never silently --------------------------------
@@ -343,7 +338,7 @@ def test_queue_sampling_keeps_the_fabric_in_python_and_says_so():
         return fabric, full_state(fabric, log)
 
     ref_fabric, ref = run(SequentialEngine())
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, got = run(engine)
     assert engine.fabric == "python"
     assert "net.router.queue" in engine.fabric_reason
@@ -360,7 +355,7 @@ def test_subclassed_lp_keeps_the_fabric_in_python(monkeypatch):
     monkeypatch.setattr(fabric_mod, "RouterLP", TracingRouter)
     ref_fabric, ref_log = build(SequentialEngine(), Dragonfly1D.mini(), "adp")
     ref_fabric.engine.run(until=HORIZON)
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, log = build(engine, Dragonfly1D.mini(), "adp")
     assert engine.fabric == "python"
     assert "TracingRouter" in engine.fabric_reason
@@ -369,12 +364,12 @@ def test_subclassed_lp_keeps_the_fabric_in_python(monkeypatch):
 
 
 def test_engine_without_a_fabric_says_so():
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     assert engine.fabric == "python" and "no NetworkFabric" in engine.fabric_reason
 
 
 def test_second_fabric_on_one_engine_runs_in_python():
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     NetworkFabric(Dragonfly1D.mini(), engine=engine)
     assert engine.fabric == "resident"
     NetworkFabric(Dragonfly1D.mini(), engine=engine)
@@ -383,7 +378,7 @@ def test_second_fabric_on_one_engine_runs_in_python():
 
 
 def test_python_scheduled_pkt_event_to_a_resident_lp_is_refused():
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric = NetworkFabric(Dragonfly1D.mini(), engine=engine)
     engine.schedule_at(1e-6, fabric.routers[0].lp_id, "pkt", object())
     with pytest.raises(RuntimeError, match="Python-scheduled 'pkt'"):
@@ -396,7 +391,7 @@ def test_idle_steps_do_constant_work():
     """1,000 step() calls that commit nothing: no dispatch rows are
     rebuilt (rows are installed once, at registration) and the flush
     finds nothing to write."""
-    engine = AccelSequentialEngine()
+    engine = KernelEngine()
     fabric, log = build(engine, Dragonfly1D.mini(), "adp")
     engine.run(until=HORIZON)
     kernel = engine._kernel

@@ -16,7 +16,7 @@ from repro.network.dragonfly import Dragonfly1D
 from repro.network.fabric import NetworkFabric
 from repro.parallel import conservative_engine
 from repro.pdes.sequential import SequentialEngine
-from repro.scenario import parse_scenario, run_scenario
+from repro.scenario import oracle, parse_scenario, run_scenario
 from repro.union.manager import Job, WorkloadManager
 from repro.workloads.nearest_neighbor import nearest_neighbor
 from repro.workloads.uniform_random import uniform_random
@@ -185,11 +185,11 @@ def test_scenario_golden_identical_modulo_engine_key():
              "interval_s": 1e-4},
         ],
     }
-    seq = run_scenario(parse_scenario(dict(base))).to_json_dict()
+    _, seq = oracle.split(run_scenario(parse_scenario(dict(base))).to_json_dict())
     con_spec = dict(base)
     con_spec["engine"] = {"type": "conservative", "partitions": 3}
-    con = run_scenario(parse_scenario(con_spec)).to_json_dict()
-    engine = con.pop("engine")
+    engine, con = oracle.split(
+        run_scenario(parse_scenario(con_spec)).to_json_dict())
     assert con == seq
     assert engine["type"] == "conservative"
     assert engine["partitions"] == 3

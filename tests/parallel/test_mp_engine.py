@@ -25,7 +25,7 @@ from repro.network.fabric import NetworkFabric
 from repro.parallel import mp_conservative_engine
 from repro.parallel.partition import PartitionError
 from repro.registry import RegistryError, build_engine
-from repro.scenario import parse_scenario, run_scenario
+from repro.scenario import oracle, parse_scenario, run_scenario
 from repro.union.manager import Job, WorkloadManager
 from repro.workloads.nearest_neighbor import nearest_neighbor
 from repro.workloads.uniform_random import uniform_random
@@ -189,18 +189,6 @@ def test_registry_rejects_unknown_backend():
                      Dragonfly1D.mini())
 
 
-def test_mpi_backend_requires_mpi4py():
-    from repro.parallel import have_mpi4py
-
-    if have_mpi4py():  # pragma: no cover - image has no mpi4py
-        pytest.skip("mpi4py installed; gating path not reachable")
-    with pytest.raises(RegistryError, match="requires mpi4py"):
-        build_engine({"type": "mp-conservative", "backend": "mpi"},
-                     Dragonfly1D.mini())
-    with pytest.raises(PartitionError, match="requires mpi4py"):
-        mp_conservative_engine(Dragonfly1D.mini(), backend="mpi")
-
-
 def test_registry_resolves_mp_alias_and_params():
     from repro.parallel.mp import MpConservativeEngine
 
@@ -210,19 +198,6 @@ def test_registry_resolves_mp_alias_and_params():
     assert eng.n_partitions == 3
     assert eng.backend_name == "inline"
     assert eng.execution_mode == "undecided"
-
-
-def test_registry_builds_timewarp():
-    from repro.pdes.timewarp import TimeWarpEngine
-
-    eng = build_engine({"type": "timewarp"}, Dragonfly1D.mini())
-    assert isinstance(eng, TimeWarpEngine)
-    assert eng.gvt_interval == 64
-    tw = build_engine({"type": "tw", "gvt_interval": 8}, Dragonfly1D.mini())
-    assert tw.gvt_interval == 8
-    with pytest.raises(RegistryError, match="gvt_interval"):
-        build_engine({"type": "timewarp", "gvt_interval": 0},
-                     Dragonfly1D.mini())
 
 
 # -- scenario goldens ---------------------------------------------------------
@@ -250,12 +225,13 @@ def test_scenario_golden_mp_identical_modulo_engine_key():
     """The PR's acceptance golden: an all-static scenario under
     ``mp-conservative`` distributes for real and produces scenario JSON
     bit-identical to the sequential run, modulo the ``engine`` key."""
-    seq = run_scenario(parse_scenario(dict(_SCENARIO))).to_json_dict()
+    _, seq = oracle.split(
+        run_scenario(parse_scenario(dict(_SCENARIO))).to_json_dict())
     mp_spec = dict(_SCENARIO)
     mp_spec["engine"] = {"type": "mp-conservative", "partitions": 3,
                          "backend": "inline"}
-    con = run_scenario(parse_scenario(mp_spec)).to_json_dict()
-    engine = con.pop("engine")
+    engine, con = oracle.split(
+        run_scenario(parse_scenario(mp_spec)).to_json_dict())
     assert con == seq
     assert engine["type"] == "mp-conservative"
     assert engine["mode"] == "distributed"
@@ -278,12 +254,12 @@ def test_scenario_golden_mp_fallback_identical(jobs, reason):
     sequential bit for bit."""
     spec = dict(_SCENARIO)
     spec["jobs"] = jobs
-    seq = run_scenario(parse_scenario(dict(spec))).to_json_dict()
+    _, seq = oracle.split(run_scenario(parse_scenario(dict(spec))).to_json_dict())
     mp_spec = dict(spec)
     mp_spec["engine"] = {"type": "mp-conservative", "partitions": 3,
                          "backend": "inline"}
-    con = run_scenario(parse_scenario(mp_spec)).to_json_dict()
-    engine = con.pop("engine")
+    engine, con = oracle.split(
+        run_scenario(parse_scenario(mp_spec)).to_json_dict())
     assert con == seq
     assert engine["mode"] == "local"
     assert reason in engine["fallback"]

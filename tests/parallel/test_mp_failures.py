@@ -54,7 +54,7 @@ def test_sigkilled_worker_fails_loudly_naming_partition():
         session.step(1.0)
     # finalize() after the failure must not hang either (shutdown is
     # idempotent and the workers are already gone).
-    eng.shutdown_workers()
+    eng.close()
 
 
 def test_max_events_budget_matches_single_process():

@@ -10,9 +10,9 @@ import pytest
 
 from repro.pdes.conservative import ConservativeEngine
 from repro.pdes.sequential import SequentialEngine
-from repro.pdes.timewarp import TimeWarpEngine
 
 from tests.pdes.phold import build_phold, fingerprint
+from tests.pdes.timewarp import TimeWarpEngine
 
 
 ENGINES = [

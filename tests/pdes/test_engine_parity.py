@@ -1,12 +1,16 @@
-"""Cross-engine parity: all three schedulers commit the identical events.
+"""Cross-engine parity: every engine commits the identical events.
 
 PHOLD (continuous timestamps, per-LP RNG) is the canonical
-cross-validation model: under a fixed seed the sequential, conservative
-and Time Warp engines must commit exactly the same event set -- same
-per-LP counts, same timestamp checksums, same totals.  The second half
-pins the conservative engine's budget-stop and ``until`` semantics when
-the horizon lands *mid-window*: events at or before the horizon commit,
-later ones stay pending, and the engine stays resumable.
+cross-validation model: under a fixed seed every registered engine
+preset -- and the Time Warp reference oracle kept in ``tests/pdes`` --
+must commit exactly the same event set: same per-LP counts, same
+timestamp checksums, same totals.  Then the contract every preset's
+engine keeps towards the layers above it (the five hooks, ``describe``,
+the never-silent fallback, an accurate ``events_processed`` after a
+handler raised).  The last part pins the conservative engine's
+budget-stop and ``until`` semantics when the horizon lands
+*mid-window*: events at or before the horizon commit, later ones stay
+pending, and the engine stays resumable.
 """
 
 import pytest
@@ -15,55 +19,109 @@ from repro.pdes.conservative import ConservativeEngine
 from repro.pdes.event import Event
 from repro.pdes.lp import LP
 from repro.pdes.sequential import SequentialEngine
-from repro.pdes.timewarp import TimeWarpEngine
 
 from tests.pdes.phold import build_phold, fingerprint
+from tests.pdes.presets import N_LPS, PRESETS
+from tests.pdes.timewarp import TimeWarpEngine
 
 
-def _run(engine, until=40.0, **kw):
-    lps = build_phold(engine, n_lps=10, seed=17, **kw)
+def _run(engine, until=40.0, n_lps=10):
+    lps = build_phold(engine, n_lps=n_lps, seed=17)
     engine.run(until=until)
     return fingerprint(lps), engine.events_processed
 
 
-def test_all_three_engines_commit_identical_event_set():
-    seq_fp, seq_events = _run(SequentialEngine())
-    for make in (
-        lambda: ConservativeEngine(lookahead=0.5, n_partitions=3),
-        lambda: ConservativeEngine(lookahead=0.25, n_partitions=5),
-        lambda: TimeWarpEngine(gvt_interval=16),
-    ):
-        fp, events = _run(make())
-        assert fp == seq_fp
-        assert events == seq_events
+@pytest.mark.parametrize("make", [
+    lambda: ConservativeEngine(lookahead=0.5, n_partitions=3),
+    lambda: ConservativeEngine(lookahead=0.25, n_partitions=5),
+    lambda: TimeWarpEngine(gvt_interval=16),
+])
+def test_oracle_and_wide_windows_commit_identical_event_set(make):
+    """Windows wide enough to hold many events each (the presets below
+    derive a sub-microsecond lookahead from the fabric) and the
+    optimistic oracle."""
+    assert _run(make()) == _run(SequentialEngine())
 
 
-def test_accel_engines_commit_identical_event_set():
-    """The accel engines join the PHOLD cross-validation: the forced
-    ``python`` backend always (so fallback parity never goes vacuous),
-    the compiled kernel whenever this host can build it."""
-    from repro.accel import (
-        AccelConservativeEngine,
-        AccelSequentialEngine,
-        PythonConservativeEngine,
-        PythonSequentialEngine,
-        kernel_status,
-    )
+@pytest.mark.parametrize("make, spec", PRESETS)
+def test_every_preset_commits_identical_event_set(make, spec):
+    assert _run(make(), n_lps=N_LPS) == _run(SequentialEngine(), n_lps=N_LPS)
 
-    seq_fp, seq_events = _run(SequentialEngine())
-    makes = [
-        lambda: PythonSequentialEngine(),
-        lambda: PythonConservativeEngine(lookahead=0.5, n_partitions=3),
-    ]
-    if kernel_status()["available"]:
-        makes += [
-            lambda: AccelSequentialEngine(),
-            lambda: AccelConservativeEngine(lookahead=0.5, n_partitions=3),
-        ]
-    for make in makes:
-        fp, events = _run(make())
-        assert fp == seq_fp
-        assert events == seq_events
+
+# -- the contract towards the layers above -----------------------------------
+
+#: Every key Engine.describe() may return (docs/engines.md).
+DESCRIBE_KEYS = {"partitions", "lookahead", "windows", "scheme",
+                 "mode", "fallback",
+                 "backend", "backend_reason", "fabric", "fabric_reason"}
+
+
+HOOKS = ("adopt_fabric", "bind_model_source", "bind_telemetry", "describe",
+         "close")
+
+
+@pytest.mark.parametrize("make, spec", PRESETS)
+def test_every_preset_answers_the_five_hooks(make, spec):
+    from repro.telemetry import Telemetry
+
+    eng = make()
+    assert all(callable(getattr(eng, hook)) for hook in HOOKS)
+    # ... also on an engine no fabric or session was built on.
+    t = Telemetry()
+    eng.bind_telemetry(t)
+    info = eng.describe()
+    eng.close()
+    assert set(info) <= DESCRIBE_KEYS
+    windowed = spec.axes["windowing"] == "yawns"
+    assert ("windows" in info) == windowed == spec.partitioned
+    assert (t.get("pdes.conservative.windows") is not None) == windowed
+    assert ("mode" in info) == (spec.axes["layout"] == "mp")
+    assert ("backend" in info) == (spec.axes["backend"] == "compiled")
+
+
+@pytest.mark.parametrize("make, spec", [
+    p for p in PRESETS if p.values[1].axes["backend"] == "compiled"])
+def test_compilerless_host_gets_a_plain_engine_and_a_reason(make, spec,
+                                                            monkeypatch):
+    monkeypatch.setenv("UNION_ACCEL_DISABLE", "1")
+    eng = make()
+    assert type(eng) in (SequentialEngine, ConservativeEngine)
+    assert eng.backend == "python" and eng.backend_reason
+    assert eng.fabric == "python" and eng.fabric_reason
+
+
+class _RaisesOnThird(LP):
+    def __init__(self):
+        super().__init__()
+        self.handled = 0
+
+    def handle(self, event: Event) -> None:
+        self.handled += 1
+        if self.handled == 3:
+            raise ZeroDivisionError("third event")
+
+
+@pytest.mark.parametrize("make, spec", PRESETS)
+def test_events_processed_survives_a_raising_handler(make, spec):
+    """The count stays accurate on every exit path: a handler raising
+    mid-window must not lose the events that window already committed
+    (the windowed engines and the kernel's windowed loop used to report
+    0 here), and the engine stays resumable."""
+    eng = make()
+    lp = _RaisesOnThird()
+    eng.register(lp, partition=0)
+    # Closer together than any lookahead: one window holds all five.
+    for k in range(5):
+        eng.schedule_at(1.0 + k * 1e-9, lp.lp_id, "tick")
+    with pytest.raises(ZeroDivisionError):
+        eng.run(until=5.0)
+    assert eng.events_processed == lp.handled - 1 == 2
+    if spec.partitioned:
+        assert sum(eng.committed_by_partition) == 2
+    eng.run(until=5.0)
+    assert lp.handled == 5
+    assert eng.events_processed == 4
+    eng.close()
 
 
 def test_conservative_per_partition_commits_sum_to_total():

@@ -5,9 +5,9 @@ import pytest
 from repro.pdes.event import Event
 from repro.pdes.lp import LP
 from repro.pdes.sequential import SequentialEngine
-from repro.pdes.timewarp import TimeWarpEngine
 
 from tests.pdes.phold import build_phold, fingerprint
+from tests.pdes.timewarp import TimeWarpEngine
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
@@ -98,7 +98,7 @@ def test_lp_without_state_saving_rejected():
     lp = NoState()
     tw.register(lp)
     tw.schedule_at(1.0, lp.lp_id, "x")
-    with pytest.raises(NotImplementedError, match="state saving"):
+    with pytest.raises(AttributeError, match="save_state"):
         tw.run()
 
 

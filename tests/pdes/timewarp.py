@@ -16,9 +16,12 @@ roll back to -- advances monotonically; state/history older than GVT is
 *fossil collected*.  Statistics reported by the engine
 (``events_processed``) count committed events only.
 
-The network experiments run on the sequential engine; Time Warp exists
-to reproduce the ROSS layer of the paper's stack and is validated by the
-PHOLD equivalence tests.
+A test-side reference oracle, not a product engine: no LP of the
+network/MPI stack can save or restore its state, so nothing under
+``src/`` can run on it.  It reproduces the ROSS layer of the paper's
+stack for PHOLD, where it cross-validates the product engines
+(``test_engine_parity.py``, ``test_budget.py``); LPs it runs provide
+``save_state()`` / ``load_state(state)`` themselves.
 """
 
 from __future__ import annotations

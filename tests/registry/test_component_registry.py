@@ -252,32 +252,39 @@ def test_registered_custom_placement_reaches_the_manager():
 # -- engine registry ---------------------------------------------------------
 
 def test_engine_registry_roster():
-    from repro.registry import available_engines, engine_registry
+    from repro.registry import available_engines, engine_axes, engine_registry
 
     assert available_engines() == ("sequential", "conservative",
-                                   "mp-conservative", "timewarp",
+                                   "mp-conservative",
                                    "accel-sequential", "accel-conservative")
     assert engine_registry.canonical("seq") == "sequential"
     assert engine_registry.canonical("yawns") == "conservative"
     assert engine_registry.canonical("mp") == "mp-conservative"
-    assert engine_registry.canonical("tw") == "timewarp"
     assert engine_registry.canonical("fast") == "accel-sequential"
     assert engine_registry.canonical("fast-yawns") == "accel-conservative"
+    assert len(engine_registry.aliases()) == 5
+    seq = engine_registry.get("sequential")
+    assert seq.axes == engine_axes()
+    assert not seq.partitioned and seq.param_names() == ()
     spec = engine_registry.get("conservative")
+    assert spec.axes == engine_axes(windowing="yawns")
     assert spec.partitioned
     assert spec.param_names() == ("partitions", "lookahead")
     mp = engine_registry.get("mp-conservative")
+    assert mp.axes == engine_axes(windowing="yawns", layout="mp")
     assert mp.partitioned
     assert mp.param_names() == ("partitions", "lookahead", "backend")
-    tw = engine_registry.get("timewarp")
-    assert not tw.partitioned
-    assert tw.param_names() == ("gvt_interval",)
+    assert {p.name: p for p in mp.params}["backend"].choices == ("mp", "inline")
     acc = engine_registry.get("accel-sequential")
+    assert acc.axes == engine_axes(backend="compiled")
     assert not acc.partitioned
     assert acc.param_names() == ("backend",)
     acc_con = engine_registry.get("accel-conservative")
+    assert acc_con.axes == engine_axes(windowing="yawns", backend="compiled")
     assert acc_con.partitioned
     assert acc_con.param_names() == ("partitions", "lookahead", "backend")
+    with pytest.raises(ValueError, match="windowing"):
+        engine_axes(windowing="timewarp")
 
 
 def test_build_engine_dispatches_and_validates():

@@ -265,9 +265,29 @@ def test_requires_subcommand():
 def test_engines_lists_registry(capsys):
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
-    assert "sequential" in out and "conservative" in out
     assert "partitions" in out and "lookahead" in out
     assert "yawns -> conservative" in out
+    # Exactly the five presets, each row stating its three axes.
+    header, _rule, *rows = out.splitlines()[1:8]
+    assert [c.strip() for c in header.split("|")][:4] == [
+        "name", "windowing", "backend", "layout"]
+    assert [[c.strip() for c in r.split("|")][:4] for r in rows] == [
+        ["sequential", "none", "python", "in-process"],
+        ["conservative", "yawns", "python", "in-process"],
+        ["mp-conservative", "yawns", "python", "mp"],
+        ["accel-sequential", "none", "compiled", "in-process"],
+        ["accel-conservative", "yawns", "compiled", "in-process"],
+    ]
+
+
+def test_timewarp_is_not_an_engine_choice(capsys):
+    """The optimistic scheduler cannot run the network/MPI stack (no LP
+    there saves state); asking for it is a usage error, not a traceback
+    from inside the run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--engine", "timewarp"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'timewarp'" in capsys.readouterr().err
 
 
 def test_run_with_conservative_engine_matches_sequential(capsys):
@@ -436,74 +456,7 @@ def test_serve_rejects_bad_flag_values(capsys, tmp_path):
     assert "workers" in capsys.readouterr().err
 
 
-# -- bench / --profile -------------------------------------------------------
-
-def _tiny_benches(monkeypatch):
-    """Shrink the bench roster to one instant fake so the CLI plumbing
-    (roster handling, output shape, --json) is tested without paying
-    for a real measurement."""
-    import time
-
-    from benchmarks import throughput
-
-    def fake():
-        time.sleep(0.01)
-        return 1000
-
-    monkeypatch.setattr(throughput, "BENCHES", {"network_throughput": fake})
-    monkeypatch.setattr(throughput, "REFERENCE_EVENTS",
-                        {"network_throughput": 500})
-
-
-def test_bench_list(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("network_throughput", "network_storm_accel",
-                 "phold_sequential", "phold_accel"):
-        assert name in out
-
-
-def test_bench_runs_and_writes_json(capsys, tmp_path, monkeypatch):
-    import json
-    _tiny_benches(monkeypatch)
-    out_json = tmp_path / "bench.json"
-    assert main(["bench", "--repeat", "1", "--json", str(out_json)]) == 0
-    out = capsys.readouterr().out
-    assert "network_throughput" in out and "ref-ev/s" in out
-    doc = json.loads(out_json.read_text())
-    r = doc["benches"]["network_throughput"]
-    assert r["events"] == 1000
-    # Normalized to the reference count, not the raw one: half the
-    # committed events, half the rate.
-    assert r["ref_events_per_sec"] == pytest.approx(
-        r["events_per_sec"] / 2, rel=1e-3)
-
-
-def test_bench_unknown_name_is_a_clean_error(capsys, monkeypatch):
-    _tiny_benches(monkeypatch)
-    assert main(["bench", "--only", "nope"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown bench" in err and "network_throughput" in err
-
-
-def test_bench_engine_substitution(capsys, monkeypatch):
-    """--engine re-runs the parameterizable benches on a registry
-    engine; the python backend keeps this host-independent."""
-    from benchmarks import throughput
-
-    seen = []
-
-    def fake_storm(telemetry=None, engine=None):
-        seen.append(engine)
-        return 42
-
-    monkeypatch.setattr(throughput, "run_network_throughput", fake_storm)
-    assert main(["bench", "--engine", "accel-sequential",
-                 "--only", "network_throughput", "--repeat", "1"]) == 0
-    (eng,) = seen
-    assert eng.backend in ("compiled", "python")
-    assert "network_throughput" in capsys.readouterr().out
-
+# -- --profile ---------------------------------------------------------------
 
 def test_profile_flag_writes_pstats(capsys, scenario_file, tmp_path):
     import pstats
