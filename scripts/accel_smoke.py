@@ -119,16 +119,14 @@ def main() -> int:
     from repro.scenario import oracle, parse_scenario
     from repro.scenario.runner import run_scenario
 
-    def run(engine=None, faults=None):
+    def run(engine, faults=None):
         """``(engine stanza, canonical result JSON)`` of one run."""
-        spec = dict(SCENARIO)
-        if engine is not None:
-            spec["engine"] = {"type": engine}
+        spec = dict(SCENARIO, engine={"type": engine})
         if faults is not None:
             spec["faults"] = faults
         return oracle.split(run_scenario(parse_scenario(spec)).to_json_dict())
 
-    _, seq = run()
+    _, seq = run("sequential")
     engine, accel = run("accel-sequential")
     backend = engine["backend"]
     reason = engine["backend_reason"]
@@ -149,7 +147,7 @@ def main() -> int:
         info, faulty = run("accel-sequential", FAULTS)
         assert info["fabric"] == "resident", (
             f"[[faults]] lost the resident fabric: {info['fabric_reason']!r}")
-        assert faulty == run(faults=FAULTS)[1], (
+        assert faulty == run("sequential", FAULTS)[1], (
             "accel-sequential diverged from sequential under [[faults]]")
 
     if accel != seq:

@@ -18,8 +18,8 @@ Three invariants keep the docs honest:
    the pipeline reference cannot drift from :mod:`repro.telemetry`.
 5. ``docs/engines.md`` must name every registered execution engine,
    every parameter it declares and every enumerated parameter choice,
-   so the engine reference cannot drift from
-   :mod:`repro.registry.engines`.
+   and state which preset ``DEFAULT_ENGINE`` is, so the engine
+   reference cannot drift from :mod:`repro.registry.engines`.
 6. ``docs/env.md`` must name every registered control policy (with its
    declared parameters) and every field of the session
    :class:`~repro.union.session.Observation` snapshot, so the control
@@ -171,10 +171,11 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
     listings); enumerated parameters (``Param.choices``) must document
     every accepted value, every registered alias must be named so
     the shorthand a scenario may use is discoverable, and the axis
-    table must name every axis and value.  Returns the number of names
-    checked.
+    table must name every axis and value.  The page must also state
+    the default preset as ``DEFAULT_ENGINE = "<name>"``.  Returns the
+    number of names checked.
     """
-    from repro.registry import ENGINE_AXES, engine_registry
+    from repro.registry import DEFAULT_ENGINE, ENGINE_AXES, engine_registry
 
     text = path.read_text()
     names: list[str] = []
@@ -192,7 +193,11 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
         f"{path} does not mention registered engine(s)/parameter(s) {missing}; "
         "update the engine reference (names must be backtick-quoted)"
     )
-    return len(names)
+    default = f'DEFAULT_ENGINE = "{DEFAULT_ENGINE}"'
+    assert default in text, (
+        f"{path} does not state the default engine; it must say "
+        f"`{default}` (repro.registry.engines)")
+    return len(names) + 1
 
 
 def check_env_doc(path: Path = DOCS / "env.md") -> int:

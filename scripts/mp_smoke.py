@@ -45,8 +45,8 @@ def main() -> int:
     from repro.scenario import oracle, parse_scenario
     from repro.scenario.runner import run_scenario
 
-    _, seq = oracle.split(
-        run_scenario(parse_scenario(dict(SCENARIO))).to_json_dict())
+    _, seq = oracle.split(run_scenario(parse_scenario(
+        dict(SCENARIO, engine={"type": "sequential"}))).to_json_dict())
 
     mp_spec = dict(SCENARIO)
     mp_spec["engine"] = {"type": "mp-conservative", "partitions": 4,

@@ -53,12 +53,13 @@
 #include <string.h>
 
 #define SEQ_ORIGIN_SHIFT 40
-#define ABI_VERSION 2
+#define ABI_VERSION 3
 #define PATH_MAX_HOPS 64 /* longest router path a packet may carry */
 #define PATH_INLINE 10   /* stored in the packet itself up to here   */
 
 static PyObject *str_seq, *str_kind, *str_state, *str_popleft, *str_append,
     *str_packets_forwarded, *str_busy_until, *str_bind_source;
+static PyTypeObject *deque_type; /* collections.deque */
 
 /* ---------------------------------------------------------------- */
 /* heap entries                                                      */
@@ -1075,9 +1076,11 @@ flush_port(fabric_t *f, int32_t idx)
     if (p->head == p->synced_head && p->tail == p->synced_tail)
         return 0;
     /* The deque mirrors ring entries [m, synced_tail); Python's own
-     * queue_depth() may have pruned more of the front than we have. */
-    PyObject *dq = PyList_GetItem(PyList_GET_ITEM(f->o[O_PENDING_LISTS], router),
-                                  local);
+     * queue_depth() may have pruned more of the front than we have.  A
+     * port that never queued holds the empty tuple instead (router.py
+     * allocates FIFOs lazily), which reads as an empty deque. */
+    PyObject *fifos = PyList_GET_ITEM(f->o[O_PENDING_LISTS], router);
+    PyObject *dq = PyList_GetItem(fifos, local);
     Py_ssize_t len = dq ? PyObject_Size(dq) : -1;
     if (len < 0)
         return -1;
@@ -1088,6 +1091,11 @@ flush_port(fabric_t *f, int32_t idx)
     p->synced_head = p->head;
     if (p->synced_tail < p->head)
         p->synced_tail = p->head;
+    if (p->synced_tail < p->tail && !PyObject_TypeCheck(dq, deque_type)) {
+        dq = PyObject_CallNoArgs((PyObject *)deque_type);
+        if (list_set(fifos, local, dq) < 0)
+            return -1;
+    }
     for (; p->synced_tail < p->tail; p->synced_tail++) {
         double start = p->ring[p->synced_tail & (p->cap - 1)];
         if (call_method(dq, str_append, PyFloat_FromDouble(start)) < 0)
@@ -1922,6 +1930,13 @@ PyInit__union_accel(void)
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!(*names[i].var = PyUnicode_InternFromString(names[i].s)))
             return NULL;
+    PyObject *collections = PyImport_ImportModule("collections");
+    if (!collections)
+        return NULL;
+    deque_type = (PyTypeObject *)PyObject_GetAttrString(collections, "deque");
+    Py_DECREF(collections);
+    if (!deque_type)
+        return NULL;
 
     PyObject *m = PyType_Ready(&KernelType) < 0 ? NULL
                                                 : PyModule_Create(&accel_module);

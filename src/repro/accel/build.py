@@ -17,6 +17,13 @@ engine factories fall back to the pure-Python engines (which commit the
 bit-identical event sequence) recording that reason.  ``pip install``
 and import never require a compiler.
 
+Nothing happens silently: a compile logs one INFO record on the
+``repro.accel.build`` logger (cache path and seconds), and a kernel that
+is unavailable for any reason but ``UNION_ACCEL_DISABLE`` logs one
+WARNING per process -- the default engine is this kernel, so a host
+that cannot build it is running the (bit-identical, slower) Python
+engine.  ``union-sim engines --build`` does the compile up front.
+
 Environment switches:
 
 ``UNION_ACCEL_DISABLE``
@@ -32,16 +39,20 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import logging
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
 import tempfile
+import time
 from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 
 __all__ = ["AccelUnavailable", "load_kernel", "kernel_status", "build_into"]
+
+log = logging.getLogger(__name__)
 
 MODULE_NAME = "_union_accel"
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -49,7 +60,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 #: The kernel's ``ABI_VERSION``: the layout of the adoption row
 #: (:mod:`repro.accel.dispatch`) and the ``Kernel`` method signatures
 #: :mod:`repro.accel.engines` calls.  Bump both sides together.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 #: Memoized load outcome: ``(module, "")`` or ``(None, reason)``.
 #: ``UNION_ACCEL_DISABLE`` is consulted *before* the memo so tests can
@@ -136,10 +147,13 @@ def _build(path: Path, extra_flags: tuple[str, ...] = ()) -> None:
     if cc is None:
         raise AccelUnavailable("no C compiler found (tried the "
                                "interpreter's CC, then cc/gcc/clang)")
+    start = time.perf_counter()
     try:
         _compile(cc, path, extra_flags)
     except OSError as exc:
         raise AccelUnavailable(f"cannot write build cache: {exc}") from exc
+    log.info("compiled the accel kernel into %s in %.2f s", path,
+             time.perf_counter() - start)
 
 
 def _source_artifact() -> Path:
@@ -217,6 +231,8 @@ def load_kernel():
             _memo = (_load_kernel_uncached(), "")
         except AccelUnavailable as exc:
             _memo = (None, str(exc))
+            log.warning("compiled kernel unavailable, running the "
+                        "pure-Python engine: %s", exc)
     mod, reason = _memo
     if mod is None:
         raise AccelUnavailable(reason)

@@ -22,8 +22,13 @@ LPs run exactly as on any engine -- and :func:`adopt` returns the
 reason, which the engine reports as ``fabric: "python"`` /
 ``fabric_reason``.  Nothing falls back silently.
 
-The adoption row, in ``kernel.adopt`` argument order (every index is
-range-checked *here*; ``_kernel.c`` re-checks only sizes):
+The adoption row, in ``kernel.adopt`` argument order.  It is derived
+from the topology's flat port table
+(:attr:`~repro.network.topology.PortGraph.port_rows`) with whole-array
+operations -- a paper-scale fabric has ~65k ports, too many to visit
+one by one in Python -- and every index is range-checked *here*, as a
+min/max over the arrays; ``_kernel.c`` re-checks only sizes.  The integer tables are C-contiguous ``intc`` buffers, the
+float one ``double``:
 
 ``scalars``
     ``(n_links, packet_bytes, n_groups, routers_per_group, terminal_bw,
@@ -31,29 +36,30 @@ range-checked *here*; ``_kernel.c`` re-checks only sizes):
     topology has no dragonfly tables (then only Python policies route),
     ``app_window`` is 0.0 when ``net.router.app.bytes`` is disabled.
 ``rrows``
-    ``array('i')``, one ``(lp_id, first_port, first_adj)`` row per
+    One ``(lp_id, first_port, first_adj)`` row per
     router plus a closing ``(-1, n_ports, n_adj)`` row (``rrow_t``).
 ``prows`` / ``plinks``
-    Per port, ``array('i')`` ``(peer_lp, link_id, router, port,
+    Per port, router-major, ``(peer_lp, link_id, router, port,
     peer_router, hop_increment)`` (``prow_t``; ``peer_router`` -1 on a
-    terminal port) and ``array('d')`` ``(bandwidth, post_tx_latency)``
-    (``plink_t``).
+    terminal port) and ``(bandwidth, post_tx_latency)`` (``plink_t``).
 ``trows``
-    ``array('i')``, per node ``(lp_id, router, router_lp, eject_port,
+    Per node ``(lp_id, router, router_lp, eject_port,
     uplink_id)`` (``trow_t``).
 ``adj`` / ``cand``
-    ``array('i')``: per (router, neighbour) slot ``(neighbour,
-    first_cand)`` plus a closing row; ``cand`` lists the candidate
-    ports (``topo.ports_to_router``).
+    Per (router, neighbour) slot ``(neighbour, first_cand)`` plus a
+    closing row; ``cand`` lists the candidate ports
+    (``topo.ports_to_router``, in its order).
 ``gw`` / ``gp``
-    ``array('i')``: ``topo.gateways`` and ``topo.global_ports_to_group``
+    ``topo.gateways`` and ``topo.global_ports_to_group``
     as ``n_groups**2 + 1`` / ``n_routers * n_groups + 1`` offsets into
     the same array, then the items (empty when ``n_groups`` is 0).
 ``objs``
     The Python objects the kernel mirrors its state into and the
     callables it enters Python through, in ``_kernel.c``'s ``O_*``
     order: seven lists (router LPs, their ``busy_until`` lists, their
-    ``pending_starts`` lists, terminal LPs, their ``inj_queue`` deques,
+    ``pending_starts`` lists -- a port's slot is the empty tuple until
+    its first queued packet, and the kernel allocates the deque then,
+    as ``RouterLP`` does --, terminal LPs, their ``inj_queue`` deques,
     ``link_loads._bytes``, ``_pkt_seq``), two dicts (``total_packets``,
     ``nonmin_packets``), then ``app_counter._bins``,
     ``app_counter.record``, ``fabric._resident_injected``,
@@ -63,11 +69,15 @@ range-checked *here*; ``_kernel.c`` re-checks only sizes):
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 
+import numpy as np
+
+from repro.network.config import LinkClass
 from repro.network.router import RouterLP
 from repro.network.routing import AdaptiveRouting, MinimalRouting
 from repro.network.terminal import TerminalLP
-from repro.network.topology import Topology
+from repro.network.topology import PortGraph, Topology
 
 #: ``_kernel.c``'s PATH_MAX_HOPS: the longest router path a packet carries.
 MAX_PATH = 64
@@ -97,6 +107,9 @@ def adopt(kernel, fabric, hosting: bool) -> str:
 def _refusal(fabric, hosting: bool) -> str:
     if hosting:
         return "the engine already hosts a resident fabric"
+    if not isinstance(fabric.topo, PortGraph):
+        return (f"topology {type(fabric.topo).__name__} is not a PortGraph "
+                "(it keeps no flat port table)")
     for lp in fabric.routers:
         if type(lp) is not RouterLP:
             return f"router LP is a subclass ({type(lp).__name__})"
@@ -111,59 +124,114 @@ def _refusal(fabric, hosting: bool) -> str:
 
 
 def _fabric_row(fabric) -> tuple:
+    """The adoption row, from the topology's flat port table with
+    whole-array operations; every range check runs as a min/max over
+    the arrays."""
     topo, cfg = fabric.topo, fabric.config
-    n_routers, n_links = topo.n_routers, topo.n_links
-    n_lps = len(fabric.engine.lps)
+    n_routers, n_nodes, n_links = topo.n_routers, topo.n_nodes, topo.n_links
+    table = np.frombuffer(array("i", topo.port_rows), dtype=np.intc).reshape(-1, 5)
+    _check(len(table) == n_links, "%d ports for %d links", len(table), n_links)
+    router, port, cls, peer_router, peer_node = table.T
+    _in_range(router, n_routers, "a port's router")
+    _in_range(cls, len(LinkClass), "a link class")
+    term = cls == LinkClass.TERMINAL
+    _in_range(peer_router[~term], n_routers, "a port's peer router")
+    _in_range(peer_node[term], n_nodes, "a terminal port's node")
 
-    rrows, prows, plinks = array("i"), array("i"), array("d")
-    adj, cand = array("i"), array("i")
-    for lp in fabric.routers:
-        rid = lp.rid
-        rrows.extend((lp.lp_id, len(plinks) // 2, len(adj) // 2))
-        table = topo.router_ports[rid]
-        _check(len(lp._ports) == len(table), "router port tables differ")
-        for i, (peer, bw, extra, link, hop_inc) in enumerate(lp._ports):
-            peer_router = table[i].peer_router
-            _check(0 <= peer < n_lps and 0 <= link < n_links and bw > 0
-                   and hop_inc in (0, 1) and -1 <= peer_router < n_routers,
-                   "router %d port %d is out of range", rid, i)
-            prows.extend((peer, link, rid, i, peer_router, hop_inc))
-            plinks.extend((bw, extra))
-        for nbr, cands in topo.ports_to_router[rid].items():
-            _check(0 <= nbr < n_routers and cands
-                   and all(0 <= p < len(table) for p in cands),
-                   "router %d: bad candidate ports towards %d", rid, nbr)
-            adj.extend((nbr, len(cand)))
-            cand.extend(cands)
-    rrows.extend((-1, len(plinks) // 2, len(adj) // 2))
-    adj.extend((-1, len(cand)))
+    # Ports in the kernel's order, router-major: a stable sort by router
+    # keeps each router's ports in creation order, which must be
+    # port-id order (ids 0..k-1, as many as the router LP wired).
+    counts = np.bincount(router, minlength=n_routers)
+    _check(np.array_equal(counts, [len(lp._ports) for lp in fabric.routers]),
+           "router port tables differ")
+    first_port = np.zeros(n_routers + 1, dtype=np.intp)
+    np.cumsum(counts, out=first_port[1:])
+    link = np.argsort(router, kind="stable")
+    _check(np.array_equal(port[link], np.arange(n_links) - np.repeat(
+        first_port[:-1], counts)), "router port ids are not 0..k-1")
 
-    trows = array("i")
-    for lp in fabric.terminals:
-        router = topo.router_of_node(lp.node)
-        _check(0 <= router < n_routers, "node %d has no router", lp.node)
-        port = topo.port_to_node[router][lp.node]
-        _check(0 <= port < len(topo.router_ports[router])
-               and 0 <= lp._uplink_id < n_links,
-               "node %d has no terminal port", lp.node)
-        trows.extend((lp.lp_id, router, fabric.routers[router].lp_id, port,
-                      lp._uplink_id))
+    # RouterLP.wire_ports' constants: peer LP, per-class bandwidth and
+    # post-transmit latency (computed the same way), hop increment.
+    lp_of_router = np.fromiter((lp.lp_id for lp in fabric.routers), np.intp,
+                               n_routers)
+    lp_of_node = np.fromiter((lp.lp_id for lp in fabric.terminals), np.intp,
+                             n_nodes)
+    peer_lp = np.empty(n_links, dtype=np.intp)
+    peer_lp[term] = lp_of_node[peer_node[term]]
+    peer_lp[~term] = lp_of_router[peer_router[~term]]
+    _in_range(peer_lp, len(fabric.engine.lps), "a port's peer LP")
+    classes = list(LinkClass)
+    bw = np.array([cfg.bandwidth(c) for c in classes], dtype=float)
+    extra = np.array([cfg.terminal_latency if c == LinkClass.TERMINAL
+                      else cfg.latency(c) + cfg.router_delay for c in classes])
+    _check(bw.min() > 0, "a link bandwidth is not positive")
+    prows = np.empty((n_links, 6), dtype=np.intc)
+    prows[:, 0] = peer_lp[link]
+    prows[:, 1] = link
+    prows[:, 2] = router[link]
+    prows[:, 3] = port[link]
+    prows[:, 4] = np.where(term, -1, peer_router)[link]
+    prows[:, 5] = ~term[link]
+    plinks = np.empty((n_links, 2))
+    plinks[:, 0] = bw[cls[link]]
+    plinks[:, 1] = extra[cls[link]]
+
+    # (router, neighbour) slots in ``ports_to_router``'s order -- by each
+    # slot's first port -- with their candidate ports ascending.
+    nbr_at = link[~term[link]]  # router-to-router links, router-major
+    key = router[nbr_at].astype(np.int64) * n_routers + peer_router[nbr_at]
+    _, first_of_key, inverse = np.unique(key, return_index=True,
+                                         return_inverse=True)
+    slot_of = first_of_key[inverse]
+    by_slot = np.argsort(slot_of, kind="stable")
+    cand = np.ascontiguousarray(port[nbr_at[by_slot]], dtype=np.intc)
+    slot_first = np.sort(first_of_key)
+    adj = np.empty((len(slot_first) + 1, 2), dtype=np.intc)
+    adj[:-1, 0] = peer_router[nbr_at[slot_first]]
+    adj[:-1, 1] = np.searchsorted(slot_of[by_slot], slot_first)
+    adj[-1] = (-1, len(cand))
+    rrows = np.empty((n_routers + 1, 3), dtype=np.intc)
+    rrows[:-1, 0] = lp_of_router
+    rrows[-1, 0] = -1
+    rrows[:, 1] = first_port
+    rrows[:, 2] = np.searchsorted(router[nbr_at[slot_first]],
+                                  np.arange(n_routers + 1))
+
+    # One terminal port per node: its link is the node's uplink too.
+    uplink = np.full(n_nodes, -1, dtype=np.intp)
+    uplink[peer_node[term]] = np.flatnonzero(term)
+    _check(np.count_nonzero(term) == n_nodes and uplink.min() >= 0,
+           "a node has no terminal port, or several")
+    terminals = fabric.terminals
+    _check(np.array_equal(uplink, np.fromiter(
+        (lp._uplink_id for lp in terminals), np.intp, n_nodes))
+        and np.array_equal(router[uplink], np.fromiter(
+            (lp._src_router for lp in terminals), np.intp, n_nodes)),
+        "a terminal LP disagrees with the port table")
+    trows = np.empty((n_nodes, 5), dtype=np.intc)
+    trows[:, 0] = lp_of_node
+    trows[:, 1] = router[uplink]
+    trows[:, 2] = lp_of_router[router[uplink]]
+    trows[:, 3] = port[uplink]
+    trows[:, 4] = uplink
 
     dragonfly = isinstance(topo, Topology)
-    gw, gp = array("i"), array("i")
+    gw = gp = array("i")
     if dragonfly:
-        groups = range(topo.n_groups)
-        _flatten(gw, [topo.gateways[g1].get(g2, ())
-                      for g1 in groups for g2 in groups], n_routers)
-        lists = []
-        for r in range(n_routers):
-            table = topo.router_ports[r]
-            for g in groups:
-                plist = topo.global_ports_to_group[r].get(g, ())
-                _check(all(0 <= p < len(table) and table[p].peer_router >= 0
-                           for p in plist), "router %d: bad global ports", r)
-                lists.append(plist)
-        _flatten(gp, lists, 1 << 30)
+        n_groups, rpg = topo.n_groups, topo.routers_per_group
+        groups = range(n_groups)
+        gateways = [topo.gateways[g1].get(g2, ()) for g1 in groups for g2 in groups]
+        gw = _offsets_then_items(
+            np.fromiter(map(len, gateways), np.intp, len(gateways)),
+            np.fromiter(chain.from_iterable(gateways), np.intp), n_routers)
+        # global_ports_to_group[r][g]: r's global ports towards group g,
+        # in creation order -- by definition (Topology._add_router_port).
+        glob = np.flatnonzero(cls == LinkClass.GLOBAL)
+        _check(n_groups * rpg == n_routers, "groups do not tile the routers")
+        slot = router[glob].astype(np.intp) * n_groups + peer_router[glob] // rpg
+        gp = _offsets_then_items(
+            np.bincount(slot, minlength=n_routers * n_groups),
+            port[glob[np.argsort(slot, kind="stable")]], 1 << 30)
 
     def local_tails(src: int, dst: int) -> array:
         """``topo.local_paths(src, dst)`` flattened: the number of
@@ -244,20 +312,25 @@ def set_policy(kernel, fabric, app_id: int | None, policy) -> None:
 
 
 def _check(ok, what: str, *args) -> None:
-    """``what % args`` is only formatted on failure: the per-port checks
-    run tens of thousands of times at paper scale."""
+    """``what % args`` is only formatted on failure."""
     if not ok:
         raise ValueError(f"cannot adopt fabric: {what % args}")
 
 
-def _flatten(out: array, lists, bound: int) -> None:
-    """``lists`` as ``len(lists) + 1`` offsets into ``out`` itself,
-    then the items (each in ``[0, bound)``)."""
-    at = len(lists) + 1
-    for items in lists:
-        out.append(at)
-        at += len(items)
-    out.append(at)
-    for items in lists:
-        _check(all(0 <= x < bound for x in items), "topology table out of range")
-        out.extend(items)
+def _in_range(values, hi: int, what: str) -> None:
+    """Every one of ``values`` (an array) lies in ``[0, hi)``."""
+    _check(not len(values) or (values.min() >= 0 and values.max() < hi),
+           "%s is out of range", what)
+
+
+def _offsets_then_items(counts, items, bound: int):
+    """A table of lists: ``len(counts) + 1`` offsets into the returned
+    array itself, then ``items`` (each in ``[0, bound)``), list after
+    list."""
+    _in_range(items, bound, "a topology table entry")
+    out = np.empty(len(counts) + 1 + len(items), dtype=np.intc)
+    out[0] = len(counts) + 1
+    np.cumsum(counts, out=out[1:len(counts) + 1])
+    out[1:len(counts) + 1] += len(counts) + 1
+    out[len(counts) + 1:] = items
+    return out

@@ -29,9 +29,10 @@ import sys
 
 from repro.harness.configs import COMBOS, NETWORKS, make_topology
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.report import format_bytes, format_seconds, render_table
+from repro.harness.report import engine_line, format_bytes, format_seconds, render_table
 from repro.harness.sweeps import latency_sweep, panel_stats
 from repro.registry import (
+    DEFAULT_ENGINE,
     ENGINE_AXES,
     RegistryError,
     all_routing_names,
@@ -131,7 +132,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=list(engine_registry.names()), default=None,
         help="execution engine ('union-sim engines' lists them; "
-             "default: the spec's [engine] table, else sequential)")
+             f"default: the spec's [engine] table, else {DEFAULT_ENGINE})")
     parser.add_argument(
         "--partitions", type=int, default=None, metavar="N",
         help="LP partitions for the conservative engine "
@@ -203,6 +204,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"global fraction={ls['global_fraction']:.1%}; "
         f"events={res.events}"
     )
+    print(engine_line(res.engine))
     return 0
 
 
@@ -556,6 +558,17 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:
+    from repro.accel import AccelUnavailable, load_kernel
+    from repro.registry import default_engine
+
+    if args.build:
+        try:
+            kernel = load_kernel()
+        except AccelUnavailable as exc:
+            print(f"error: cannot build the compiled kernel: {exc}",
+                  file=sys.stderr)
+            return 1
+        print(f"kernel: {kernel.__file__}")
     rows = [
         (spec.name, *(spec.axes[a] for a in ENGINE_AXES),
          ", ".join(p.name for p in spec.params) or "-", spec.summary)
@@ -578,6 +591,13 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     if aliases:
         pairs = ", ".join(f"{a} -> {n}" for a, n in aliases.items())
         print(f"\nAliases: {pairs}.")
+    engine = default_engine()
+    backend = engine.backend
+    if engine.backend_reason:
+        backend += f": {engine.backend_reason}"
+    print(f"\ndefault: {DEFAULT_ENGINE} (backend {backend}) -- what a spec "
+          "without an [engine] table runs on; [engine] type = "
+          "\"sequential\" pins the pure-Python reference.")
     print("Engine model and lookahead contract: docs/engines.md.")
     return 0
 
@@ -922,6 +942,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=_cmd_topologies)
 
     e = sub.add_parser("engines", help="print the execution-engine registry")
+    e.add_argument("--build", action="store_true",
+                   help="compile (or load) the kernel into its cache now; "
+                        "exit 1 with the reason when it cannot be built")
     e.set_defaults(fn=_cmd_engines)
     return p
 

@@ -23,8 +23,10 @@ touching the harness.
 ``parity``
     Every row of :data:`PARITY_ENGINES` -- the conservative engine (2
     partitions), the multi-process ``mp-conservative`` engine (inline
-    backend), both ``accel-*`` engines and a forced-python accel run --
-    reproduces the sequential result exactly, modulo the ``engine``
+    backend), both ``accel-*`` engines, a forced-python accel run and
+    the default engine (no table) -- reproduces the result of the
+    pure-Python reference (:data:`PARITY_REFERENCE`, pinned explicitly:
+    the default is the compiled kernel) exactly, modulo the ``engine``
     stanza (:mod:`repro.scenario.oracle`).  Checked on sampled cases
     only (each engine adds a full run); :attr:`FuzzContext.parity`
     gates it.
@@ -123,8 +125,12 @@ def check_determinism(ctx: FuzzContext) -> list[str]:
     return []
 
 
+#: The engine every ``parity`` row must reproduce.
+PARITY_REFERENCE = {"type": "sequential"}
+
 #: What ``parity`` runs every sampled case on, next to the sequential
-#: reference.  mp-conservative: the fuzz pool's own workers are daemonic
+#: reference (a ``None`` table: no ``[engine]`` table, the default
+#: preset).  mp-conservative: the fuzz pool's own workers are daemonic
 #: and cannot spawn children, so the inline backend exercises the full
 #: worker protocol (recipe, window exchange, merge) in-process;
 #: generated scenarios that cannot distribute exercise the fallback
@@ -144,6 +150,7 @@ PARITY_ENGINES: tuple[tuple[str, dict], ...] = (
      {"type": "accel-conservative", "partitions": 2}),
     ("accel-sequential(backend=python)",
      {"type": "accel-sequential", "backend": "python"}),
+    ("the default engine", None),
 )
 
 
@@ -151,11 +158,13 @@ def check_parity(ctx: FuzzContext) -> list[str]:
     if not ctx.parity:
         return []
     out = []
-    _, reference = oracle.split(ctx.run().to_json_dict())
+    _, reference = oracle.split(ctx.run(engine=PARITY_REFERENCE).to_json_dict())
     for label, table in PARITY_ENGINES:
-        stanza, result = oracle.split(ctx.run(engine=table).to_json_dict())
+        run = ctx.run(engine=table)
+        _, result = oracle.split(run.to_json_dict())
         if result != reference:
-            ran = f" (backend={stanza['backend']})" if "backend" in stanza else ""
+            info = run.outcome.fabric.engine.describe()
+            ran = f" (backend={info['backend']})" if "backend" in info else ""
             out.append(f"{label}{ran} run diverged from the sequential "
                        "result")
     return out

@@ -10,11 +10,13 @@ share the same runs instead of re-simulating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.harness.configs import default_counter_window, default_horizon, make_topology
 from repro.harness.metrics import BoxStats, boxplot_stats
+from repro.registry import default_engine_info
 from repro.telemetry import Telemetry
 from repro.union.manager import WorkloadManager
 from repro.workloads.catalog import app_catalog, build_baseline_job, build_jobs
@@ -27,7 +29,7 @@ class ExperimentConfig:
     ``workload`` is a Table III name (``workload1``..``workload3``) or
     ``baseline:<app>`` for a single application running alone.
     ``engine`` names a registered execution engine (``None`` keeps the
-    sequential default); ``partitions`` parameterizes a partitioned
+    default preset); ``partitions`` parameterizes a partitioned
     engine and is part of the cache key like every other field.
     """
 
@@ -88,6 +90,9 @@ class ExperimentResult:
     counter_window: float
     # (serving_app, source_app) -> bytes-per-window series
     router_series: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    #: What ran: the engine table (or the default preset) plus
+    #: ``Engine.describe()``; reports only, not part of the result.
+    engine: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def app(self, name: str) -> AppStats:
         return self.apps[name]
@@ -171,14 +176,18 @@ def run_experiment(cfg: ExperimentConfig, telemetry: Telemetry | None = None) ->
             series[(serving.name, source.name)] = outcome.fabric.app_counter.series(
                 serving.routers, source.app_id, horizon
             )
+    engine = outcome.fabric.engine
+    table = cfg.engine_table()
     result = ExperimentResult(
         config=cfg,
         apps=apps,
         end_time=outcome.end_time,
-        events=outcome.fabric.engine.events_processed,
+        events=engine.events_processed,
         link_summary=outcome.link_load_summary(),
         counter_window=window,
         router_series=series,
+        engine=({**table, **engine.describe()} if table
+                else default_engine_info(engine)),
     )
     if telemetry is None:
         # A custom session may disable instrument families, zeroing the

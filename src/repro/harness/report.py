@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,3 +63,21 @@ def format_seconds(s: float) -> str:
     if abs(s) < 1.0:
         return f"{s * 1e3:.3f} ms"
     return f"{s:.3f} s"
+
+
+def engine_line(e: Mapping[str, Any]) -> str:
+    """The text reports' ``engine:`` line from an ``engine`` stanza."""
+    line = f"engine: {e['type']}"
+    if "windows" in e:
+        line += (f", {e['partitions']} partitions "
+                 f"({e.get('scheme', '?')}-partitioned), lookahead "
+                 f"{format_seconds(e['lookahead'])}, {e['windows']} windows")
+    if "backend" in e:
+        line += f", backend {e['backend']}"
+        if e.get("backend_reason"):
+            line += f" ({e['backend_reason']})"
+        else:
+            line += f", fabric {e['fabric']}"
+            if e.get("fabric_reason"):
+                line += f" ({e['fabric_reason']})"
+    return line

@@ -37,7 +37,6 @@ from repro.network.terminal import TerminalLP
 from repro.network.topology import Topology
 from repro.pdes.engine import Engine
 from repro.pdes.event import Priority
-from repro.pdes.sequential import SequentialEngine
 from repro.telemetry import Telemetry
 
 # Called as callback(msg_id, meta, completion_time)
@@ -70,7 +69,10 @@ class NetworkFabric:
         ``factory(topo, config, probe, stream_id) -> policy`` for other
         topologies (e.g. :func:`repro.network.torus.torus_routing_factory`).
     engine:
-        PDES engine; a fresh :class:`SequentialEngine` by default.
+        PDES engine; by default a fresh
+        :data:`~repro.registry.engines.DEFAULT_ENGINE` (the compiled
+        kernel, which adopts this fabric, where it loads; else the
+        plain sequential engine with the reason recorded).
     counter_window:
         Aggregation window of the per-app router counters (the paper
         uses 0.5 ms; mini-scale experiments shrink it proportionally).
@@ -93,7 +95,11 @@ class NetworkFabric:
     ) -> None:
         self.topo = topo
         self.config = config or NetworkConfig()
-        self.engine = engine or SequentialEngine()
+        if engine is None:
+            from repro.registry.engines import default_engine
+
+            engine = default_engine(topo, self.config)
+        self.engine = engine
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         # The two Section IV-D instruments stay plain attributes (the
         # seed API), but live in the telemetry session like any other

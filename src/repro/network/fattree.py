@@ -28,12 +28,12 @@ two tiers the same way it distinguishes dragonfly link classes.
 from __future__ import annotations
 
 from repro.network.config import LinkClass, NetworkConfig
-from repro.network.topology import Port
+from repro.network.topology import PortGraph
 from repro.network.routing import per_router_stream
 from repro.pdes.rng import SplitMix
 
 
-class FatTreeTopology:
+class FatTreeTopology(PortGraph):
     """A three-level k-ary fat-tree of switches.
 
     Parameters
@@ -69,11 +69,7 @@ class FatTreeTopology:
         self.n_nodes = self.n_edge * half
         self.nodes_per_router = half  # only edge switches host nodes
 
-        self.router_ports: list[list[Port]] = [[] for _ in range(self.n_routers)]
-        self.ports_to_router: list[dict[int, list[int]]] = [dict() for _ in range(self.n_routers)]
-        self.port_to_node: list[dict[int, int]] = [dict() for _ in range(self.n_routers)]
-        self.n_links = 0
-        self.link_class_of: list[LinkClass] = []
+        self._init_ports(self.n_routers)
         self._build()
 
     # -- switch id helpers ---------------------------------------------------
@@ -113,27 +109,12 @@ class FatTreeTopology:
         return range(base, base + self.nodes_per_edge)
 
     # -- construction ----------------------------------------------------------
-    def _new_link(self, link_class: LinkClass) -> int:
-        lid = self.n_links
-        self.n_links += 1
-        self.link_class_of.append(link_class)
-        return lid
-
-    def _add_port(self, router: int, link_class: LinkClass, peer: int) -> None:
-        pid = len(self.router_ports[router])
-        lid = self._new_link(link_class)
-        self.router_ports[router].append(Port(pid, link_class, peer_router=peer, link_id=lid))
-        self.ports_to_router[router].setdefault(peer, []).append(pid)
-
     def _build(self) -> None:
         half = self.half
         # Terminal ports on edge switches.
         for e in range(self.n_edge):
             for node in self.nodes_of_router(e):
-                pid = len(self.router_ports[e])
-                lid = self._new_link(LinkClass.TERMINAL)
-                self.router_ports[e].append(Port(pid, LinkClass.TERMINAL, peer_node=node, link_id=lid))
-                self.port_to_node[e][node] = pid
+                self._add_port(e, LinkClass.TERMINAL, peer_node=node)
         # Edge <-> aggregation (intra-pod, LOCAL).
         for pod in range(self.n_pods):
             for i in range(half):
@@ -151,9 +132,6 @@ class FatTreeTopology:
                 self._add_port(core, LinkClass.GLOBAL, a)
 
     # -- descriptive ---------------------------------------------------------------
-    def radix(self) -> int:
-        return max(len(p) for p in self.router_ports)
-
     def diameter(self) -> int:
         return 4  # edge -> agg -> core -> agg -> edge
 

@@ -23,7 +23,10 @@ transmit-start times: a packet occupies the FIFO until its start time,
 so the depth at ``now`` is the number of pending start times still in
 the future, plus one while the transmitter is serializing
 (``now < busy_until``).  Start times already passed are pruned lazily
-on access.
+on access.  A port's FIFO is only allocated when it first queues a
+packet: until then its slot holds the shared empty tuple, which every
+reader sees as an empty FIFO (a paper-scale fabric has tens of
+thousands of ports, most of which never queue).
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import NetworkFabric
 
 _NETWORK = Priority.NETWORK
+#: ``pending_starts`` slot of a port that has not queued a packet yet.
+_NO_FIFO = ()
 
 
 class RouterLP(LP):
@@ -71,8 +76,9 @@ class RouterLP(LP):
         self.fabric = fabric
         n_ports = len(topo.router_ports[rid])
         #: Per-port transmit-start times of packets still waiting in the
-        #: FIFO (ascending; pruned lazily once they pass).
-        self.pending_starts: list[deque[float]] = [deque() for _ in range(n_ports)]
+        #: FIFO (ascending; pruned lazily once they pass), allocated on
+        #: the port's first queued packet.
+        self.pending_starts: list[deque[float] | tuple] = [_NO_FIFO] * n_ports
         #: Per-port timestamp until which the port's transmitter is occupied.
         self.busy_until: list[float] = [0.0] * n_ports
         self.packets_forwarded = 0
@@ -161,8 +167,11 @@ class RouterLP(LP):
             # have passed so the deque stays bounded by the actual FIFO
             # depth even when no probe ever reads this port.
             dq = self.pending_starts[port]
-            while dq and dq[0] <= now:
-                dq.popleft()
+            if dq is _NO_FIFO:
+                dq = self.pending_starts[port] = deque()
+            else:
+                while dq and dq[0] <= now:
+                    dq.popleft()
             dq.append(start)
         else:
             start = now
@@ -196,3 +205,4 @@ class RouterLP(LP):
             return candidates[0]
         # Parallel links to the same neighbour: take the shallowest queue.
         return min(candidates, key=self.queue_depth)
+

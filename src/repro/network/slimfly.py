@@ -27,7 +27,7 @@ link-load instrument reports a zero global fraction.
 from __future__ import annotations
 
 from repro.network.config import LinkClass, NetworkConfig
-from repro.network.topology import Port
+from repro.network.topology import PortGraph
 from repro.network.routing import per_router_stream
 from repro.pdes.rng import SplitMix
 
@@ -83,7 +83,7 @@ def generator_sets(q: int) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(X), frozenset(Xp)
 
 
-class SlimFlyTopology:
+class SlimFlyTopology(PortGraph):
     """An MMS-graph slim fly of ``2 q^2`` routers (``q`` prime).
 
     Router ids: A-half router ``(x, y)`` is ``x * q + y``; B-half router
@@ -113,11 +113,7 @@ class SlimFlyTopology:
         self.n_nodes = self.n_routers * nodes_per_router
         self.X, self.Xp = generator_sets(q)
 
-        self.router_ports: list[list[Port]] = [[] for _ in range(self.n_routers)]
-        self.ports_to_router: list[dict[int, list[int]]] = [dict() for _ in range(self.n_routers)]
-        self.port_to_node: list[dict[int, int]] = [dict() for _ in range(self.n_routers)]
-        self.n_links = 0
-        self.link_class_of: list[LinkClass] = []
+        self._init_ports(self.n_routers)
         self.adj: list[set[int]] = [set() for _ in range(self.n_routers)]
         self._build()
 
@@ -144,28 +140,16 @@ class SlimFlyTopology:
         return (1, r // q, r % q)
 
     # -- construction ----------------------------------------------------------
-    def _new_link(self, link_class: LinkClass) -> int:
-        lid = self.n_links
-        self.n_links += 1
-        self.link_class_of.append(link_class)
-        return lid
-
     def _add_edge(self, r1: int, r2: int) -> None:
         for a, b in ((r1, r2), (r2, r1)):
-            pid = len(self.router_ports[a])
-            lid = self._new_link(LinkClass.LOCAL)
-            self.router_ports[a].append(Port(pid, LinkClass.LOCAL, peer_router=b, link_id=lid))
-            self.ports_to_router[a].setdefault(b, []).append(pid)
+            self._add_port(a, LinkClass.LOCAL, b)
             self.adj[a].add(b)
 
     def _build(self) -> None:
         q = self.q
         for r in range(self.n_routers):
             for node in self.nodes_of_router(r):
-                pid = len(self.router_ports[r])
-                lid = self._new_link(LinkClass.TERMINAL)
-                self.router_ports[r].append(Port(pid, LinkClass.TERMINAL, peer_node=node, link_id=lid))
-                self.port_to_node[r][node] = pid
+                self._add_port(r, LinkClass.TERMINAL, peer_node=node)
         # Intra-half Cayley edges.
         for x in range(q):
             for y in range(q):
@@ -188,9 +172,6 @@ class SlimFlyTopology:
     def degree(self) -> int:
         """Network degree (router-to-router links per router)."""
         return max(len(self.adj[r]) for r in range(self.n_routers))
-
-    def radix(self) -> int:
-        return max(len(p) for p in self.router_ports)
 
     def diameter(self) -> int:
         return 2

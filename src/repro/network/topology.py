@@ -1,10 +1,17 @@
-"""Topology base class: routers, ports, links and group wiring.
+"""Topology base classes: routers, ports, links and group wiring.
+
+:class:`PortGraph` is what every fabric model is built on: routers,
+their output ports and the directed link behind each port, kept twice
+-- as the per-router tables the Python LPs and routing policies read,
+and as one flat row per port (:attr:`PortGraph.port_rows`) that the
+compiled kernel's adoption (:mod:`repro.accel.dispatch`) turns into its
+own tables with whole-array operations.
 
 Both dragonfly variants share the two-level structure of Section IV-A:
 nodes attach to routers, routers form *groups*, and groups are all-to-all
-connected through global links.  Subclasses only provide the intra-group
-(local) wiring and the intra-group path enumeration; the global-link
-construction, port tables and lookup indices live here.
+connected through global links.  Subclasses of :class:`Topology` only
+provide the intra-group (local) wiring and the intra-group path
+enumeration; the global-link construction and lookup indices live here.
 """
 
 from __future__ import annotations
@@ -36,7 +43,64 @@ class Port:
         return f"Port({self.pid}, {self.link_class.name}, -> {peer}, link {self.link_id})"
 
 
-class Topology:
+class PortGraph:
+    """Routers, ports and links: the structural interface a
+    :class:`~repro.network.fabric.NetworkFabric` consumes (every
+    built-in fabric model subclasses it).
+
+    Every port is added through :meth:`_add_port`, which creates its
+    directed link (link ids are consecutive, one per port, in creation
+    order) and records the port four ways: ``router_ports[r][pid]``
+    (a :class:`Port`), ``ports_to_router[r][peer]`` (candidate ports
+    towards a neighbour router, ascending) or ``port_to_node[r][node]``,
+    ``link_class_of[link]``, and one row of :attr:`port_rows`.
+    """
+
+    #: Columns of :attr:`port_rows`.
+    PORT_ROW = ("router", "port", "link_class", "peer_router", "peer_node")
+
+    def _init_ports(self, n_routers: int) -> None:
+        self.router_ports: list[list[Port]] = [[] for _ in range(n_routers)]
+        self.ports_to_router: list[dict[int, list[int]]] = [dict() for _ in range(n_routers)]
+        self.port_to_node: list[dict[int, int]] = [dict() for _ in range(n_routers)]
+        self.n_links = 0  # directed links
+        self.link_class_of: list[LinkClass] = []
+        #: The ports flat: the ints of one :attr:`PORT_ROW` per port, in
+        #: creation order -- so row ``i`` is link ``i``; ``peer_router``
+        #: is -1 on a terminal port, ``peer_node`` -1 on the others.
+        self.port_rows: list[int] = []
+
+    def _add_port(self, router: int, link_class: LinkClass,
+                  peer_router: int = -1, peer_node: int = -1) -> int:
+        """Add one output port of ``router`` (towards ``peer_node`` when
+        ``link_class`` is TERMINAL, else towards ``peer_router``) and
+        its link; returns the port id."""
+        ports = self.router_ports[router]
+        pid = len(ports)
+        lid = self.n_links
+        self.n_links = lid + 1
+        self.link_class_of.append(link_class)
+        ports.append(Port(pid, link_class, peer_router, peer_node, lid))
+        if link_class == LinkClass.TERMINAL:
+            self.port_to_node[router][peer_node] = pid
+        else:
+            self.ports_to_router[router].setdefault(peer_router, []).append(pid)
+        self.port_rows.extend((router, pid, link_class, peer_router, peer_node))
+        return pid
+
+    def radix(self) -> int:
+        """Maximum number of ports on any router."""
+        return max(len(ports) for ports in self.router_ports)
+
+    def link_census(self) -> dict[LinkClass, int]:
+        """Number of directed links per class."""
+        census: dict[LinkClass, int] = {c: 0 for c in LinkClass}
+        for c in self.link_class_of:
+            census[c] += 1
+        return census
+
+
+class Topology(PortGraph):
     """Abstract dragonfly-class topology.
 
     Parameters
@@ -83,14 +147,10 @@ class Topology:
             )
 
         # Port tables, populated by _build().
-        self.router_ports: list[list[Port]] = [[] for _ in range(self.n_routers)]
-        self.ports_to_router: list[dict[int, list[int]]] = [dict() for _ in range(self.n_routers)]
-        self.port_to_node: list[dict[int, int]] = [dict() for _ in range(self.n_routers)]
+        self._init_ports(self.n_routers)
         self.global_ports_to_group: list[dict[int, list[int]]] = [dict() for _ in range(self.n_routers)]
         # gateways[g][g2] -> routers in g owning a global link towards g2
         self.gateways: list[dict[int, list[int]]] = [dict() for _ in range(n_groups)]
-        self.n_links = 0  # directed links
-        self.link_class_of: list[LinkClass] = []
 
         self._build()
 
@@ -123,17 +183,8 @@ class Topology:
         return range(base, base + self.routers_per_group)
 
     # -- construction ------------------------------------------------------
-    def _new_link(self, link_class: LinkClass) -> int:
-        lid = self.n_links
-        self.n_links += 1
-        self.link_class_of.append(link_class)
-        return lid
-
     def _add_router_port(self, router: int, link_class: LinkClass, peer_router: int) -> None:
-        pid = len(self.router_ports[router])
-        lid = self._new_link(link_class)
-        self.router_ports[router].append(Port(pid, link_class, peer_router=peer_router, link_id=lid))
-        self.ports_to_router[router].setdefault(peer_router, []).append(pid)
+        pid = self._add_port(router, link_class, peer_router)
         if link_class == LinkClass.GLOBAL:
             peer_group = self.group_of(peer_router)
             self.global_ports_to_group[router].setdefault(peer_group, []).append(pid)
@@ -142,12 +193,7 @@ class Topology:
         # Terminal ports first so ejection lookup is O(1).
         for r in range(self.n_routers):
             for node in self.nodes_of_router(r):
-                pid = len(self.router_ports[r])
-                lid = self._new_link(LinkClass.TERMINAL)
-                self.router_ports[r].append(
-                    Port(pid, LinkClass.TERMINAL, peer_node=node, link_id=lid)
-                )
-                self.port_to_node[r][node] = pid
+                self._add_port(r, LinkClass.TERMINAL, peer_node=node)
         self._build_local_links()
         self._build_global_links()
 
@@ -203,17 +249,6 @@ class Topology:
         return 2 * self.local_diameter() + 1
 
     # -- descriptive ----------------------------------------------------------
-    def radix(self) -> int:
-        """Maximum number of ports on any router."""
-        return max(len(ports) for ports in self.router_ports)
-
-    def link_census(self) -> dict[LinkClass, int]:
-        """Number of directed links per class."""
-        census: dict[LinkClass, int] = {c: 0 for c in LinkClass}
-        for c in self.link_class_of:
-            census[c] += 1
-        return census
-
     def describe(self) -> dict[str, object]:
         """Table II-style row describing this system."""
         return {

@@ -15,18 +15,17 @@ gap.
 from __future__ import annotations
 
 from repro.network.config import LinkClass, NetworkConfig
-from repro.network.topology import Port
+from repro.network.topology import PortGraph
 from repro.network.routing import per_router_stream
 from repro.pdes.rng import SplitMix
 
 
-class TorusTopology:
+class TorusTopology(PortGraph):
     """A k-ary n-dimensional torus of routers.
 
-    Implements the structural interface the fabric consumes
-    (``router_ports``, ``ports_to_router``, ``port_to_node``,
-    ``router_of_node``, ``n_links``/``link_class_of``); it is *not* a
-    dragonfly, so it deliberately does not subclass
+    A :class:`~repro.network.topology.PortGraph` (the structural
+    interface the fabric consumes) plus ``router_of_node``; it is *not*
+    a dragonfly, so it deliberately does not subclass
     :class:`~repro.network.topology.Topology`.
     """
 
@@ -44,11 +43,7 @@ class TorusTopology:
             self.n_routers *= d
         self.n_nodes = self.n_routers * nodes_per_router
 
-        self.router_ports: list[list[Port]] = [[] for _ in range(self.n_routers)]
-        self.ports_to_router: list[dict[int, list[int]]] = [dict() for _ in range(self.n_routers)]
-        self.port_to_node: list[dict[int, int]] = [dict() for _ in range(self.n_routers)]
-        self.n_links = 0
-        self.link_class_of: list[LinkClass] = []
+        self._init_ports(self.n_routers)
         self._build()
 
     # -- identities ---------------------------------------------------------
@@ -75,19 +70,10 @@ class TorusTopology:
         return rank
 
     # -- construction ----------------------------------------------------------
-    def _new_link(self, link_class: LinkClass) -> int:
-        lid = self.n_links
-        self.n_links += 1
-        self.link_class_of.append(link_class)
-        return lid
-
     def _build(self) -> None:
         for r in range(self.n_routers):
             for node in self.nodes_of_router(r):
-                pid = len(self.router_ports[r])
-                lid = self._new_link(LinkClass.TERMINAL)
-                self.router_ports[r].append(Port(pid, LinkClass.TERMINAL, peer_node=node, link_id=lid))
-                self.port_to_node[r][node] = pid
+                self._add_port(r, LinkClass.TERMINAL, peer_node=node)
         for r in range(self.n_routers):
             c = self.coords(r)
             for axis in range(len(self.dims)):
@@ -96,16 +82,9 @@ class TorusTopology:
                         continue  # avoid double links on 2-rings
                     nc = list(c)
                     nc[axis] = (nc[axis] + delta) % self.dims[axis]
-                    peer = self.router_at(tuple(nc))
-                    pid = len(self.router_ports[r])
-                    lid = self._new_link(LinkClass.LOCAL)
-                    self.router_ports[r].append(Port(pid, LinkClass.LOCAL, peer_router=peer, link_id=lid))
-                    self.ports_to_router[r].setdefault(peer, []).append(pid)
+                    self._add_port(r, LinkClass.LOCAL, self.router_at(tuple(nc)))
 
     # -- descriptive ---------------------------------------------------------------
-    def radix(self) -> int:
-        return max(len(p) for p in self.router_ports)
-
     def diameter(self) -> int:
         return sum(d // 2 for d in self.dims)
 

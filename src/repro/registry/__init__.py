@@ -27,10 +27,13 @@ from repro.registry.generators import (
     register_generator,
 )
 from repro.registry.engines import (
+    DEFAULT_ENGINE,
     ENGINE_AXES,
     EngineSpec,
     available_engines,
     build_engine,
+    default_engine,
+    default_engine_info,
     engine_axes,
     engine_registry,
     register_engine,
@@ -73,6 +76,7 @@ from repro.registry.topologies import (
 __all__ = [
     "Capabilities",
     "ComponentSpec",
+    "DEFAULT_ENGINE",
     "ENGINE_AXES",
     "EngineSpec",
     "GeneratorSpec",
@@ -94,6 +98,8 @@ __all__ = [
     "build_generator",
     "build_policy",
     "build_topology",
+    "default_engine",
+    "default_engine_info",
     "engine_axes",
     "engine_registry",
     "generator_registry",

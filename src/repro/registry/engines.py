@@ -26,7 +26,10 @@ all resolve through one roster.  An engine is a point on three axes --
     the reason recorded).
 
 -- and the roster names the five points that exist (``docs/engines.md``
-has the table).  Every preset commits the identical event sequence.
+has the table).  Every preset commits the identical event sequence, so
+the one that runs when nothing names an engine is simply the fastest:
+:data:`DEFAULT_ENGINE`, the compiled kernel wherever this host can build
+it (``sequential`` stays the explicit pure-Python reference).
 
 Engine factories need the live topology (and link config) to build
 their partition plan, so :func:`build_engine` takes both -- unlike
@@ -89,6 +92,13 @@ class EngineSpec(ComponentSpec):
 
 engine_registry = Registry("engine")
 
+#: The preset a simulation runs on when no ``[engine]`` table, flag or
+#: engine instance names one -- :class:`~repro.network.fabric.NetworkFabric`
+#: resolves ``engine=None`` through :func:`default_engine`.  Its result
+#: documents stay stanza-less: which backend ran is reported by
+#: ``union-sim engines`` and the text reports, not in the JSON.
+DEFAULT_ENGINE = "accel-sequential"
+
 
 def register_engine(spec: EngineSpec, aliases: tuple[str, ...] = (),
                     replace: bool = False) -> EngineSpec:
@@ -125,6 +135,20 @@ def build_engine(table: Mapping[str, Any], topo: Any,
 
 def available_engines() -> tuple[str, ...]:
     return engine_registry.names()
+
+
+def default_engine(topo: Any = None,
+                   config: NetworkConfig | None = None) -> Engine:
+    """A fresh :data:`DEFAULT_ENGINE`: the compiled kernel where it
+    loads, else the plain sequential engine with ``backend = "python"``
+    and the reason recorded -- bit-identical either way."""
+    return build_engine({"type": DEFAULT_ENGINE}, topo, config)
+
+
+def default_engine_info(engine: Engine) -> dict[str, Any]:
+    """What a run without an engine table ran on, shaped like a result's
+    ``engine`` stanza -- for text reports, never for result JSON."""
+    return {"type": f"{DEFAULT_ENGINE} (default)", **engine.describe()}
 
 
 # -- built-in roster ---------------------------------------------------------
@@ -167,7 +191,7 @@ _ACCEL_BACKEND = Param("backend", "str",
 
 register_engine(EngineSpec(
     name="sequential",
-    summary="deterministic single-queue event scheduler (the default)",
+    summary="pure-Python reference engine",
 ), aliases=("seq",))
 
 register_engine(EngineSpec(
@@ -198,7 +222,8 @@ register_engine(EngineSpec(
 register_engine(EngineSpec(
     name="accel-sequential",
     summary="sequential scheduling with the event loop in the compiled "
-            "repro.accel kernel (bit-identical pure-Python fallback)",
+            "repro.accel kernel (bit-identical pure-Python fallback; "
+            "the default)",
     params=(_ACCEL_BACKEND,),
     axes=engine_axes(backend="compiled"),
 ), aliases=("fast",))

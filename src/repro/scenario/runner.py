@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.harness.configs import default_counter_window, make_topology
-from repro.harness.report import format_bytes, format_seconds, render_table
+from repro.harness.report import engine_line, format_bytes, format_seconds, render_table
 from repro.mpi.engine import job_key
-from repro.registry import RegistryError, build_topology
+from repro.registry import RegistryError, build_topology, default_engine_info
 from repro.scenario.spec import JobEntry, ScenarioError, ScenarioSpec, TrafficEntry
 from repro.telemetry import RESULT_SCHEMA_VERSION, JsonlSink, SummarySink, Telemetry
 from repro.union.manager import Job, RunOutcome, WorkloadManager
@@ -195,8 +195,9 @@ class ScenarioResult:
     #: dragonfly sugar specs (whose JSON form stays unchanged).
     topology: dict[str, Any] | None = None
     #: The spec's ``[engine]`` table plus the resolved execution stats
-    #: (partitions, lookahead, windows); ``None`` for the sequential
-    #: default, keeping those runs' JSON form unchanged.
+    #: (partitions, lookahead, windows); ``None`` for a spec without
+    #: one (the default preset), keeping those runs' JSON form
+    #: unchanged -- the text report still names what ran.
     engine: dict[str, Any] | None = None
     #: Telemetry summary (the ``[metrics] summary = true`` sink output);
     #: ``None`` unless the spec asked for it.
@@ -412,13 +413,10 @@ def render_scenario_report(result: ScenarioResult) -> str:
         f"(global fraction {ls['global_fraction']:.1%})"
     )
     e = result.engine
+    if e is None and result.outcome is not None:
+        e = default_engine_info(result.outcome.fabric.engine)
     if e is not None:
-        line = f"engine: {e['type']}"
-        if "windows" in e:
-            line += (f", {e['partitions']} partitions "
-                     f"({e.get('scheme', '?')}-partitioned), lookahead "
-                     f"{format_seconds(e['lookahead'])}, {e['windows']} windows")
-        lines.append(line)
+        lines.append(engine_line(e))
     f = result.faults
     if f is not None:
         kinds = ", ".join(f"{x['name']} ({x['kind']})" for x in f["entries"])

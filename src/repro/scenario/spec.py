@@ -377,8 +377,8 @@ class ScenarioSpec:
     topology: dict[str, Any] | None = None  # explicit [topology] table
     metrics: MetricsEntry | None = None  # [metrics] telemetry table
     #: Canonical ``[engine]`` table (``{"type": "conservative",
-    #: "partitions": 8}``); ``None`` keeps the sequential default and
-    #: the historical JSON form.
+    #: "partitions": 8}``); ``None`` keeps the default preset
+    #: (``registry.engines.DEFAULT_ENGINE``) and the stanza-less JSON form.
     engine: dict[str, Any] | None = None
     #: The ``[env]`` control-surface table; ``None`` for plain
     #: scenarios (they still run as env episodes with the defaults).

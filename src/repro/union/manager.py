@@ -202,7 +202,8 @@ class WorkloadManager:
         (``"sequential"``/``"conservative"``), a parameter table like a
         scenario's ``[engine]`` section (``{"type": "conservative",
         "partitions": 8}``), a ready :class:`~repro.pdes.engine.Engine`
-        instance, or ``None`` for the sequential default.  Names/tables
+        instance, or ``None`` for the default preset
+        (:data:`~repro.registry.engines.DEFAULT_ENGINE`).  Names/tables
         resolve through :mod:`repro.registry` against this manager's
         topology and link config, fresh per :meth:`run` (engines hold
         per-run LP state); a ready instance is single-use for the same
@@ -368,7 +369,8 @@ class WorkloadManager:
         (validated against this manager's topology and link config, so a
         bad partition count fails with the registry's clear error before
         any LP exists); ready instances pass through; ``None`` lets the
-        fabric default to a sequential engine.
+        fabric build its default
+        (:data:`~repro.registry.engines.DEFAULT_ENGINE`).
         """
         e = self.engine
         if e is None or isinstance(e, Engine):

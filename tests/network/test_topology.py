@@ -182,3 +182,23 @@ def test_radix_counts_max_ports(mini1d):
         + mini1d.global_per_router
     )
     assert mini1d.radix() == expected
+
+
+# -- the flat port table ------------------------------------------------------
+
+
+@pytest.mark.parametrize("network", ["1d", "2d", "torus", "fattree", "slimfly"])
+def test_port_rows_are_the_ports(network):
+    from repro.harness.configs import make_topology
+    from repro.network.topology import PortGraph
+
+    topo = make_topology(network)
+    assert isinstance(topo, PortGraph)
+    width = len(PortGraph.PORT_ROW)
+    rows = topo.port_rows
+    assert len(rows) == width * topo.n_links
+    for r, ports in enumerate(topo.router_ports):
+        for p in ports:
+            at = width * p.link_id
+            assert rows[at:at + width] == [r, p.pid, p.link_class,
+                                           p.peer_router, p.peer_node]

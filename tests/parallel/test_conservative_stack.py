@@ -185,7 +185,8 @@ def test_scenario_golden_identical_modulo_engine_key():
              "interval_s": 1e-4},
         ],
     }
-    _, seq = oracle.split(run_scenario(parse_scenario(dict(base))).to_json_dict())
+    _, seq = oracle.split(run_scenario(parse_scenario(
+        dict(base, engine={"type": "sequential"}))).to_json_dict())
     con_spec = dict(base)
     con_spec["engine"] = {"type": "conservative", "partitions": 3}
     engine, con = oracle.split(

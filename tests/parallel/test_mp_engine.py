@@ -57,7 +57,7 @@ def _fingerprint(out):
 
 @pytest.fixture(scope="module")
 def sequential_ref():
-    return _fingerprint(_manager(None).run(until=1.0))
+    return _fingerprint(_manager("sequential").run(until=1.0))
 
 
 @pytest.mark.parametrize("partitions", [2, 3])
@@ -225,8 +225,8 @@ def test_scenario_golden_mp_identical_modulo_engine_key():
     """The PR's acceptance golden: an all-static scenario under
     ``mp-conservative`` distributes for real and produces scenario JSON
     bit-identical to the sequential run, modulo the ``engine`` key."""
-    _, seq = oracle.split(
-        run_scenario(parse_scenario(dict(_SCENARIO))).to_json_dict())
+    _, seq = oracle.split(run_scenario(parse_scenario(
+        dict(_SCENARIO, engine={"type": "sequential"}))).to_json_dict())
     mp_spec = dict(_SCENARIO)
     mp_spec["engine"] = {"type": "mp-conservative", "partitions": 3,
                          "backend": "inline"}
@@ -254,7 +254,8 @@ def test_scenario_golden_mp_fallback_identical(jobs, reason):
     sequential bit for bit."""
     spec = dict(_SCENARIO)
     spec["jobs"] = jobs
-    _, seq = oracle.split(run_scenario(parse_scenario(dict(spec))).to_json_dict())
+    _, seq = oracle.split(run_scenario(parse_scenario(
+        dict(spec, engine={"type": "sequential"}))).to_json_dict())
     mp_spec = dict(spec)
     mp_spec["engine"] = {"type": "mp-conservative", "partitions": 3,
                          "backend": "inline"}

@@ -280,6 +280,23 @@ def test_engines_lists_registry(capsys):
     ]
 
 
+def test_engines_says_what_the_default_resolves_to(capsys, monkeypatch):
+    from repro.accel import kernel_status
+
+    assert main(["engines"]) == 0
+    out = capsys.readouterr().out
+    if kernel_status()["available"]:
+        assert "\ndefault: accel-sequential (backend compiled)" in out
+        assert main(["engines", "--build"]) == 0
+        assert capsys.readouterr().out.startswith("kernel: ")
+    monkeypatch.setenv("UNION_ACCEL_DISABLE", "1")
+    assert main(["engines"]) == 0
+    assert ("\ndefault: accel-sequential (backend python: disabled via "
+            "UNION_ACCEL_DISABLE)") in capsys.readouterr().out
+    assert main(["engines", "--build"]) == 1
+    assert "UNION_ACCEL_DISABLE" in capsys.readouterr().err
+
+
 def test_timewarp_is_not_an_engine_choice(capsys):
     """The optimistic scheduler cannot run the network/MPI stack (no LP
     there saves state); asking for it is a usage error, not a traceback
@@ -295,13 +312,15 @@ def test_run_with_conservative_engine_matches_sequential(capsys):
 
     clear_cache()
     assert main(["run", "--workload", "baseline:nn", "--placement", "rr",
-                 "--routing", "min"]) == 0
-    seq_out = capsys.readouterr().out
+                 "--routing", "min", "--engine", "sequential"]) == 0
+    seq_out, seq_engine = capsys.readouterr().out.rsplit("engine:", 1)
     assert main(["run", "--workload", "baseline:nn", "--placement", "rr",
                  "--routing", "min", "--engine", "conservative",
                  "--partitions", "3"]) == 0
-    con_out = capsys.readouterr().out
+    con_out, con_engine = capsys.readouterr().out.rsplit("engine:", 1)
     assert con_out == seq_out  # identical metrics, event for event
+    assert seq_engine == " sequential\n"
+    assert con_engine.startswith(" conservative, 3 partitions")
 
 
 def test_partitions_flag_alone_implies_conservative(capsys):
@@ -325,8 +344,11 @@ def test_scenario_engine_override(capsys, scenario_file):
                  "--partitions", "3"]) == 0
     con_out = capsys.readouterr().out
     assert "engine: conservative, 3 partitions (group-partitioned)" in con_out
-    # Everything above the engine line is the sequential report verbatim.
-    assert con_out.startswith(seq_out)
+    # Everything above the engine line is the default run's report
+    # verbatim; a spec without an [engine] table still names what ran.
+    seq_report, seq_engine = seq_out.rsplit("engine:", 1)
+    assert con_out.startswith(seq_report)
+    assert seq_engine.startswith(" accel-sequential (default), backend ")
 
 
 def test_batch_engine_override(capsys, scenario_file, tmp_path):
