@@ -18,9 +18,13 @@ on ``accel-sequential`` -- and asserts:
    (faults are adopted: bandwidth rescaling writes through and
    fault-aware rerouting goes through the policy seam) -- and on the
    python backend the run says ``fabric: "python"`` with a reason;
-5. (compiled only) 20 back-to-back storms leak nothing: the count of
-   gc-tracked objects is flat and RSS grows by less than 1 MB after the
-   second.
+5. (compiled only) pull coherence: a 64-rank SimMPI allreduce on the
+   default engine writes the kernel's state back into its Python
+   mirrors at most 4 times per delivered message (``sync_ops``) --
+   write-backs follow Python's reads, not the per-message seams;
+6. (compiled only) 20 back-to-back storms, each with that allreduce,
+   leak nothing: the count of gc-tracked objects is flat and RSS grows
+   by less than 1 MB after the second.
 
 ``--build-sanitized`` instead rebuilds the kernel with UBSan (and
 ``--asan`` AddressSanitizer) into ``UNION_ACCEL_CACHE`` under the key
@@ -66,6 +70,44 @@ FAULTS = [
     {"name": "cut", "kind": "link-down", "start": 4e-4, "duration": 2e-3,
      "router": 8, "router_b": 9},
 ]
+
+
+#: Mirror writes per delivered message the allreduce drill may cost.
+MAX_SYNC_OPS_PER_MESSAGE = 4
+
+
+def allreduce_drill():
+    """64 ranks x 20 (compute + 8-byte allreduce) on the mini dragonfly
+    and the default engine: one packet per message, so every message
+    crosses the kernel's seams.  Returns the fabric."""
+    from repro.mpi.engine import JobSpec, SimMPI
+    from repro.network.dragonfly import Dragonfly1D
+    from repro.network.fabric import NetworkFabric
+
+    def program(ctx):
+        for _ in range(20):
+            yield ctx.compute(1e-6)
+            yield from ctx.allreduce(8)
+
+    fabric = NetworkFabric(Dragonfly1D.mini())
+    mpi = SimMPI(fabric)
+    mpi.add_job(JobSpec("allreduce", 64, program, list(range(64))))
+    mpi.run(until=1.0)
+    assert mpi.results()[0].finished, "the allreduce drill did not finish"
+    return fabric
+
+
+def pull_drill() -> None:
+    fabric = allreduce_drill()
+    engine = fabric.engine
+    assert engine.fabric == "resident", (
+        f"the allreduce fabric was not adopted: {engine.fabric_reason!r}")
+    per_message = engine._kernel.sync_ops / fabric.messages_delivered
+    print(f"pull drill: {per_message:.2f} sync_ops per message over "
+          f"{fabric.messages_delivered} messages")
+    assert per_message <= MAX_SYNC_OPS_PER_MESSAGE, (
+        f"{per_message:.2f} mirror writes per message (at most "
+        f"{MAX_SYNC_OPS_PER_MESSAGE}): the seams are writing back again")
 
 
 def rss_kb() -> int:
@@ -166,7 +208,8 @@ def main() -> int:
     print(f"accel smoke OK: backend {backend} ({detail}), fabric "
           f"{engine['fabric']}, scenario JSON bit-identical to sequential")
     if backend == "compiled":
-        leak_drill(lambda: run("accel-sequential"))
+        pull_drill()
+        leak_drill(lambda: (run("accel-sequential"), allreduce_drill()))
     return 0
 
 

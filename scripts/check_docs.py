@@ -19,7 +19,9 @@ Three invariants keep the docs honest:
 5. ``docs/engines.md`` must name every registered execution engine,
    every parameter it declares and every enumerated parameter choice,
    and state which preset ``DEFAULT_ENGINE`` is, so the engine
-   reference cannot drift from :mod:`repro.registry.engines`.
+   reference cannot drift from :mod:`repro.registry.engines`; it must
+   also name ``fabric.sync()``, the resident fabric's pull-coherence
+   call.
 6. ``docs/env.md`` must name every registered control policy (with its
    declared parameters) and every field of the session
    :class:`~repro.union.session.Observation` snapshot, so the control
@@ -197,7 +199,10 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
     assert default in text, (
         f"{path} does not state the default engine; it must say "
         f"`{default}` (repro.registry.engines)")
-    return len(names) + 1
+    assert "`fabric.sync()`" in text, (
+        f"{path} does not name `fabric.sync()`, the way to read a resident "
+        "fabric's mirrors between coherence points")
+    return len(names) + 2
 
 
 def check_env_doc(path: Path = DOCS / "env.md") -> int:

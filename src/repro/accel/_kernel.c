@@ -16,14 +16,21 @@
  * Python is entered once per message (inject() on the way in, the
  * fabric's injected/delivered seams on the way out), for generic LPs,
  * and for routing policies the kernel does not implement (one
- * select_path call per packet at NIC departure).  Before control
- * passes to Python code that can observe the model, fabric_flush()
- * writes everything touched since the last flush into the Python
- * objects that mirror it (RouterLP.busy_until / pending_starts /
- * packets_forwarded, TerminalLP.inj_queue / busy_until, link and
- * per-app byte counters in first-touch order, packet counters, routing
- * stream states), so Python always sees what a sequential run would
- * show, at a cost proportional to what changed.
+ * select_path call per packet at NIC departure).
+ *
+ * Coherence is pulled, not pushed: fabric_flush() writes everything
+ * touched since the last flush into the Python objects that mirror it
+ * (RouterLP.busy_until / pending_starts / packets_forwarded,
+ * TerminalLP.inj_queue / busy_until, link and per-app byte counters in
+ * first-touch order, packet counters, routing stream states) only where
+ * Python can read the model: on return from run(), also when a handler
+ * raised; on entry to a generic LP's handler; before a Python
+ * select_path; in set_policy; at an app-counter bin-edge handoff; and
+ * when Python asks (flush(), i.e. NetworkFabric.sync()).  The
+ * per-message seams do not flush -- their callbacks see the mirrors as
+ * of the last flush.  Each flush costs O(what changed since the last
+ * one); the NIC FIFO mirror in particular is built at flush time from
+ * the native FIFO, never per injected packet.
  *
  * Contracts kept in lockstep with the Python side:
  *
@@ -128,8 +135,11 @@ typedef struct {
 
 typedef struct {
     double busy;
-    int64_t pkt_seq;               /* packets this node has injected  */
-    int64_t popped, popped_synced; /* packets taken off the NIC FIFO  */
+    int64_t pkt_seq;               /* packets this node has injected   */
+    int64_t head, tail;            /* absolute pop / push packet counts */
+    int64_t synced_head, synced_tail; /* as of the last flush          */
+    int64_t cur_left;              /* the inj_queue cursor: flush_nic  */
+    int32_t cur_slot;
     int32_t qhead, qtail;          /* FIFO of message slots; -1: empty */
     int8_t dirty;
 } term_t;
@@ -258,6 +268,7 @@ typedef struct {
     long long max_window_events;
     long long events_processed;
     long long sync_ops;     /* mirror writes performed by flushes     */
+    long long flushes;      /* flushes that wrote anything            */
     fabric_t *fab;
 } KernelObject;
 
@@ -875,7 +886,7 @@ start_next(KernelObject *k, fabric_t *f, int32_t node)
     int tail = h->left <= 0;
     if (tail)
         t->qhead = h->next;
-    t->popped++;
+    t->head++;
     mark(f, D_TERM, node, &t->dirty);
 
     int32_t app = h->app, dst_node = h->dst_node;
@@ -1104,6 +1115,51 @@ flush_port(fabric_t *f, int32_t idx)
     return 0;
 }
 
+/* The inj_queue deque mirrors the NIC FIFO's packets [synced_tail - len,
+ * synced_tail) as TerminalLP's (msg_id, app_id, dst_node, size, is_tail)
+ * tuples, built here from the message slots.  The cursor names the
+ * message of the last tuple appended (cur_slot) and its bytes after that
+ * packet (cur_left; -1: none, the next tuple opens the next message).
+ * It is used only while that packet is still queued -- otherwise every
+ * mirrored packet has left, and the mirror restarts at the FIFO's head. */
+static int
+flush_nic(fabric_t *f, int32_t node)
+{
+    term_t *t = &f->terms[node];
+    if (t->head == t->synced_head && t->tail == t->synced_tail)
+        return 0;
+    PyObject *dq = PyList_GET_ITEM(f->o[O_INJ_QUEUES], node);
+    Py_ssize_t len = PyObject_Size(dq);
+    if (len < 0)
+        return -1;
+    int64_t stop = t->head < t->synced_tail ? t->head : t->synced_tail;
+    for (int64_t m = t->synced_tail - len; m < stop; m++)
+        if (call_method(dq, str_popleft, NULL) < 0)
+            return -1;
+    t->synced_head = t->head;
+    if (t->synced_tail <= t->head) {
+        t->synced_tail = t->head;
+        t->cur_slot = t->qhead;
+        t->cur_left = t->qhead >= 0 ? f->msgs[t->qhead].left : -1;
+    }
+    for (; t->synced_tail < t->tail; t->synced_tail++) {
+        int32_t slot = t->cur_left < 0 ? f->msgs[t->cur_slot].next : t->cur_slot;
+        const msg_t *m = &f->msgs[slot];
+        int64_t left = t->cur_left < 0 ? m->left : t->cur_left;
+        int64_t size = left > f->packet_bytes ? f->packet_bytes : left;
+        left -= size;
+        PyObject *tup = Py_BuildValue("(LLiLO)", (long long)m->msg_id,
+                                      (long long)f->apps[m->app].app_id,
+                                      (int)m->dst_node, (long long)size,
+                                      left <= 0 ? Py_True : Py_False);
+        if (!tup || call_method(dq, str_append, tup) < 0)
+            return -1;
+        t->cur_slot = slot;
+        t->cur_left = left > 0 ? left : -1;
+    }
+    return 0;
+}
+
 /* Write one dirty item back.  Every case is idempotent (deltas are
  * zeroed as they are applied, deques are synced against absolute
  * counts), so a flush that failed half way can simply run again. */
@@ -1164,12 +1220,9 @@ flush_one(fabric_t *f, dirty_t d)
         if (set_attr(PyList_GET_ITEM(f->o[O_LPS_T], i), str_busy_until,
                      PyFloat_FromDouble(t->busy)) < 0
             || list_set(f->o[O_PKT_SEQ], i,
-                        PyLong_FromLongLong((long long)t->pkt_seq)) < 0)
+                        PyLong_FromLongLong((long long)t->pkt_seq)) < 0
+            || flush_nic(f, i) < 0)
             return -1;
-        for (; t->popped_synced < t->popped; t->popped_synced++)
-            if (call_method(PyList_GET_ITEM(f->o[O_INJ_QUEUES], i), str_popleft,
-                            NULL) < 0)
-                return -1;
         t->dirty = 0;
         return 0;
     }
@@ -1196,6 +1249,7 @@ fabric_flush(KernelObject *k)
     fabric_t *f = k->fab;
     if (!f || !f->n_dirty)
         return 0;
+    k->flushes++;
     for (Py_ssize_t i = 0; i < f->n_dirty; i++) {
         if (flush_one(f, f->dirty[i]) < 0) {
             /* keep what is still to do, this item included */
@@ -1403,19 +1457,9 @@ Kernel_inject(KernelObject *self, PyObject *args)
     else
         t->qhead = slot;
     t->qtail = slot;
-
-    /* the inj_queue mirror gets this message's packet tuples right away:
-     * (msg_id, app_id, dst_node, chunk, is_tail) */
-    PyObject *inj_queue = PyList_GET_ITEM(f->o[O_INJ_QUEUES], src);
-    long long left = size;
-    do {
-        long long chunk = left > f->packet_bytes ? f->packet_bytes : left;
-        left -= chunk;
-        PyObject *tup = Py_BuildValue("(LLlLO)", msg_id, app_id, dst, chunk,
-                                      left <= 0 ? Py_True : Py_False);
-        if (call_method(inj_queue, str_append, tup) < 0)
-            return NULL;
-    } while (left > 0);
+    /* a zero-byte message is one empty packet */
+    t->tail += size > 0 ? 1 + (size - 1) / f->packet_bytes : 1;
+    mark(f, D_TERM, (int32_t)src, &t->dirty);
 
     int rc = 0;
     if (!drain_pending) {
@@ -1424,7 +1468,7 @@ Kernel_inject(KernelObject *self, PyObject *args)
         else
             rc = sched_native(self, t->busy, f->trow[src].lp_id, EV_DRAIN, 0);
     }
-    if (rc < 0 || fabric_flush(self) < 0)
+    if (rc < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1859,6 +1903,8 @@ static PyMemberDef Kernel_members[] = {
      offsetof(KernelObject, max_window_events), READONLY, NULL},
     {"sync_ops", T_LONGLONG, offsetof(KernelObject, sync_ops), READONLY,
      "mirror writes performed by flushes so far"},
+    {"flushes", T_LONGLONG, offsetof(KernelObject, flushes), READONLY,
+     "flushes so far that found something to write"},
     {NULL, 0, 0, 0, NULL},
 };
 

@@ -62,8 +62,11 @@ float one ``double``:
     as ``RouterLP`` does --, terminal LPs, their ``inj_queue`` deques,
     ``link_loads._bytes``, ``_pkt_seq``), two dicts (``total_packets``,
     ``nonmin_packets``), then ``app_counter._bins``,
-    ``app_counter.record``, ``fabric._resident_injected``,
+    ``app_counter.record``, ``fabric.on_message_injected``,
     ``fabric._resident_delivered``, ``local_tails``, ``checked_path``.
+    The mirrors are written when Python can read them (the coherence
+    points in ``docs/engines.md``), not at every call into these
+    seams: the two per-message seams see them as of the last write-back.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ def _fabric_row(fabric) -> tuple:
         fabric.link_loads._bytes, fabric._pkt_seq,
         fabric.total_packets, fabric.nonmin_packets,
         counter._bins, counter.record,
-        fabric._resident_injected, fabric._resident_delivered,
+        fabric.on_message_injected, fabric._resident_delivered,
         local_tails, checked_path,
     )
     return scalars, rrows, prows, plinks, trows, adj, cand, gw, gp, objs

@@ -201,7 +201,7 @@ class NetworkFabric:
         # A compiled engine (repro.accel) may adopt the finished fabric:
         # its kernel then owns the LP state and the per-packet events,
         # and ``_resident`` becomes that kernel (repro.accel.dispatch)
-        # for the per-message seams below to call into.  Still ``None`` on every other
+        # for send_message() and sync() to call into.  Still ``None`` on every other
         # engine, and when the kernel declines (the engine records why
         # as ``fabric_reason``).
         self._resident = None
@@ -344,20 +344,27 @@ class NetworkFabric:
             self._on_delivery(msg_id, st.meta, time)
 
     # -- seams of a resident fabric (called by the kernel, per message) ------
-    # The kernel writes its state into the Python mirrors before any
-    # code that could observe it runs; without a callback only the
-    # fabric's own bookkeeping does, so the flush is skipped.
-    def _resident_injected(self, msg_id: int, time: float) -> None:
-        if self._on_injected is not None:
-            self._resident.flush()
-        self.on_message_injected(msg_id, time)
-
+    # The kernel calls on_message_injected directly, and this one when a
+    # message's last byte arrives.  Neither writes the kernel's state
+    # back: callbacks see the mirrors as of the last sync (see sync()).
     def _resident_delivered(self, msg_id: int, time: float) -> None:
         st = self._msgs[msg_id]
         st.remaining = 0
-        if self._on_delivery is not None:
-            self._resident.flush()
         self._complete(msg_id, st, time)
+
+    def sync(self) -> None:
+        """Bring the Python mirrors of a resident fabric's state (link and
+        per-app bytes, packet counters, router and NIC queues, routing
+        streams) up to the current event; a no-op on any other fabric.
+
+        The kernel already syncs wherever Python can read the model
+        unasked -- when ``run()``/``step()`` returns, before a generic
+        LP's handler or a Python ``select_path`` -- so only code inside
+        a delivery or injection callback needs this to see the fabric
+        as a sequential run would show it at that point.
+        """
+        if self._resident is not None:
+            self._resident.flush()
 
     def on_packet_routed(self, app_id: int, nonmin: bool) -> None:
         """Terminal notification: one packet's route was chosen."""

@@ -273,6 +273,9 @@ class SimulationSession:
             raise RuntimeError("cannot observe before build(): call "
                                "session.build() first")
         assert self.mpi is not None
+        # Policy hooks observe from inside delivery callbacks, where a
+        # resident fabric's mirrors lag until synced.
+        self.fabric.sync()
         mgr = self.manager
         topo = mgr.topo
         self._obs_version += 1

@@ -4,7 +4,9 @@ path selection, delivery and reassembly -- each compared with the
 pure-Python :class:`SequentialEngine` on *full state*, not on a digest.
 
 "Full state" is what the ownership contract promises Python sees at
-every entry (docs/engines.md, "Accelerated kernels"): link bytes, the
+every coherence point (docs/engines.md, "Ownership and coherence":
+the return of run()/step(), a generic LP's handler, a Python
+select_path, ``fabric.sync()``): link bytes, the
 per-app windowed series including dict order, packet totals, every
 router's ``busy_until`` / ``pending_starts`` / ``packets_forwarded``,
 every terminal's ``inj_queue`` / ``busy_until``, packet-id counters and
@@ -16,6 +18,7 @@ import random
 import pytest
 
 from repro.accel import KernelEngine, kernel_status, load_kernel
+from repro.mpi.engine import JobSpec, SimMPI, _DriverLP
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.dragonfly2d import Dragonfly2D
@@ -25,7 +28,7 @@ from repro.parallel import conservative_engine
 from repro.pdes.lp import LP
 from repro.pdes.rng import SplitMix
 from repro.pdes.sequential import SequentialEngine
-from repro.scenario import oracle, parse_scenario, run_scenario
+from repro.scenario import build_manager, oracle, parse_scenario, run_scenario
 from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.skipif(
@@ -383,6 +386,160 @@ def test_python_scheduled_pkt_event_to_a_resident_lp_is_refused():
     engine.schedule_at(1e-6, fabric.routers[0].lp_id, "pkt", object())
     with pytest.raises(RuntimeError, match="Python-scheduled 'pkt'"):
         engine.run(until=1e-3)
+
+
+# -- the pull contract: mirrors are written when Python reads them -------------
+
+@pytest.mark.parametrize("routing", ["min", "adp"])
+@pytest.mark.parametrize("topo_name", ["1d", "2d"])
+def test_sync_inside_a_delivery_callback_matches_sequential(topo_name, routing):
+    """The seams do not write back; ``fabric.sync()`` from a callback
+    shows the fabric exactly as the sequential run does at that
+    delivery."""
+    def snapshot(engine, k=25):
+        fabric, log = build(engine, TOPOLOGIES[topo_name](), routing)
+        inner, snaps = fabric._on_delivery, []
+
+        def on_delivery(msg_id, meta, time):
+            inner(msg_id, meta, time)
+            if sum(entry[0] == "d" for entry in log) == k and not snaps:
+                fabric.sync()
+                snaps.append(full_state(fabric, log))
+
+        fabric.set_delivery_callback(on_delivery)
+        engine.run(until=HORIZON)
+        assert snaps, "fewer deliveries than the snapshot point"
+        return snaps[0]
+
+    ref = snapshot(SequentialEngine())
+    engine = KernelEngine()
+    got = snapshot(engine)
+    assert engine.fabric == "resident"
+    assert_same(got, ref)
+    assert any(ref["link_bytes"]) and any(map(any, ref["inj_queue"]))
+
+
+def observe_spec(engine):
+    """Two jobs that end inside a seam (their last op is a waitall)
+    while sparse 1 MiB background messages keep the routers busy with
+    native events only."""
+    return parse_scenario({
+        "name": "observe-mid-run", "seed": 3, "horizon": 0.001,
+        "topology": {"network": "1d", "scale": "mini"},
+        "routing": "adp", "engine": engine,
+        "jobs": [
+            {"name": "nn", "app": "nn", "nranks": 8,
+             "params": {"dims": [2, 2, 2], "iters": 2}},
+            {"name": "milc", "app": "milc", "nranks": 16,
+             "params": {"iters": 2}},
+        ],
+        "traffic": [{"pattern": "uniform", "nranks": 16,
+                     "msg_bytes": 1 << 20, "interval_s": 1e-4}],
+    })
+
+
+def test_observe_from_a_job_end_callback_matches_sequential():
+    """A policy hook observes from inside a delivery seam, where the
+    mirrors lag: ``observe()`` syncs, so it reports what the sequential
+    run reports there."""
+    def observations(engine):
+        spec = observe_spec(engine)
+        session = build_manager(spec).session()
+        session.build()
+        inner, seen = session.mpi.job_end_callback, []
+
+        def on_job_end(result):
+            obs = session.observe()
+            seen.append((obs.clock, obs.router_queue, obs.link_summary))
+            if inner is not None:
+                inner(result)
+
+        session.mpi.job_end_callback = on_job_end
+        session.step(spec.horizon)
+        return session.engine, seen
+
+    _, ref = observations({"type": "sequential"})
+    engine, got = observations({"type": "accel-sequential"})
+    assert engine.fabric == "resident"
+    assert len(ref) == 2 and got == ref
+    assert all(sum(queue) for _, queue, _ in ref)
+
+
+class NicFlood(LP):
+    """A generic Python LP sending from one node every few nanoseconds,
+    on top of that node's long NIC backlog."""
+
+    def __init__(self, fabric, node, rng):
+        super().__init__()
+        self.fabric, self.node, self.rng = fabric, node, rng
+
+    def handle(self, event):
+        size = (0, 1, 4096, 3 * 4096 + 5)[event.data % 4]
+        dst = self.rng.randrange(self.fabric.topo.n_nodes)
+        self.fabric.send_message(event.data % 3, self.node, dst, size)
+        self.engine.schedule(3e-9, self.lp_id, "go", event.data + 1)
+
+
+def test_long_nic_backlog_mirrors_at_every_step():
+    """One NIC holds more than 2,000 queued packets while a Python LP
+    keeps appending to it: the lazily built ``inj_queue`` mirror equals
+    the sequential one at each of 20 step() boundaries."""
+    def build_flood(engine):
+        fabric = NetworkFabric(Dragonfly1D.mini(), NetworkConfig(seed=4),
+                               routing="adp", engine=engine)
+        fabric.send_message(0, 0, 9, 2100 * 4096 - 7)
+        flood = NicFlood(fabric, 0, random.Random(4))
+        engine.register(flood)
+        engine.schedule_at(1e-9, flood.lp_id, "go", 0)
+        return fabric
+
+    ref, fabric = build_flood(SequentialEngine()), build_flood(KernelEngine())
+    assert fabric.engine.fabric == "resident"
+    for k in range(1, 21):
+        until = 2e-5 * k / 20
+        ref.engine.step(until)
+        fabric.engine.step(until)
+        got = [list(t.inj_queue) for t in fabric.terminals]
+        assert got == [list(t.inj_queue) for t in ref.terminals], (
+            f"inj_queue differs at step {k}")
+        assert len(got[0]) > 2000
+    assert full_state(fabric, []) == full_state(ref, [])
+
+
+def test_write_backs_are_bounded_by_python_entries_not_messages(monkeypatch):
+    """A 64-rank allreduce, one packet per message: write-backs happen
+    where Python can read the model (generic events, the return of each
+    step), never per message, and mirror writes stay a small constant
+    per message."""
+    generic = []
+    handle = _DriverLP.handle
+
+    def counted(self, event):
+        generic.append(event.kind)
+        handle(self, event)
+
+    monkeypatch.setattr(_DriverLP, "handle", counted)
+
+    def program(ctx):
+        for _ in range(20):
+            yield ctx.compute(1e-6)
+            yield from ctx.allreduce(8)
+
+    engine = KernelEngine()
+    fabric = NetworkFabric(Dragonfly1D.mini(), NetworkConfig(seed=1),
+                           routing="adp", engine=engine)
+    mpi = SimMPI(fabric)
+    mpi.add_job(JobSpec("allreduce", 64, program, list(range(64))))
+    mpi.start()
+    steps = 0
+    while not mpi.results()[0].finished:
+        mpi.step(engine.now + 2e-5)
+        steps += 1
+    kernel = engine._kernel
+    delivered = fabric.messages_delivered
+    assert engine.fabric == "resident" and delivered > 2000
+    assert kernel.flushes <= len(generic) + steps < delivered
+    assert kernel.sync_ops / delivered < 3.5
 
 
 # -- re-entry cost -----------------------------------------------------------

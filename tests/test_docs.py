@@ -132,6 +132,14 @@ def test_engines_doc_drift_is_caught(check_docs, tmp_path):
         check_docs.check_engines_doc(p)
 
 
+def test_engines_doc_must_name_fabric_sync(check_docs, tmp_path):
+    text = (REPO / "docs" / "engines.md").read_text()
+    p = tmp_path / "engines.md"
+    p.write_text(text.replace("`fabric.sync()`", "`fabric.flush()`"))
+    with pytest.raises(AssertionError, match=r"fabric\.sync"):
+        check_docs.check_engines_doc(p)
+
+
 def test_telemetry_doc_drift_is_caught(check_docs, tmp_path):
     text = (REPO / "docs" / "telemetry.md").read_text()
     p = tmp_path / "telemetry.md"
