@@ -18,6 +18,7 @@ Three invariants keep the docs honest:
    the pipeline reference cannot drift from :mod:`repro.telemetry`.
 5. ``docs/engines.md`` must name every registered execution engine,
    every parameter it declares and every enumerated parameter choice,
+   list in each preset-table row exactly that preset's parameters,
    and state which preset ``DEFAULT_ENGINE`` is, so the engine
    reference cannot drift from :mod:`repro.registry.engines`; it must
    also name ``fabric.sync()``, the resident fabric's pull-coherence
@@ -173,9 +174,12 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
     listings); enumerated parameters (``Param.choices``) must document
     every accepted value, every registered alias must be named so
     the shorthand a scenario may use is discoverable, and the axis
-    table must name every axis and value.  The page must also state
-    the default preset as ``DEFAULT_ENGINE = "<name>"``.  Returns the
-    number of names checked.
+    table must name every axis and value.  Each preset's row of the
+    preset table (``| `<name>` ...``) must end in exactly its declared
+    parameters, in order (``—`` for none), so a deleted parameter
+    cannot stay documented.  The page must also state the default
+    preset as ``DEFAULT_ENGINE = "<name>"``.  Returns the number of
+    names checked.
     """
     from repro.registry import DEFAULT_ENGINE, ENGINE_AXES, engine_registry
 
@@ -195,6 +199,18 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
         f"{path} does not mention registered engine(s)/parameter(s) {missing}; "
         "update the engine reference (names must be backtick-quoted)"
     )
+    rows = {}
+    for line in text.splitlines():
+        if m := re.match(r"\| `([^`]+)` \(", line):
+            rows[m.group(1)] = line
+    for spec in engine_registry:
+        assert spec.name in rows, (
+            f"{path}: the preset table has no row for `{spec.name}`")
+        listed = tuple(re.findall(r"`([^`]+)`",
+                                  rows[spec.name].rstrip(" |").rsplit("|", 1)[1]))
+        assert listed == spec.param_names(), (
+            f"{path}: the preset table lists parameters {list(listed)} for "
+            f"`{spec.name}`, but it declares {list(spec.param_names())}")
     default = f'DEFAULT_ENGINE = "{DEFAULT_ENGINE}"'
     assert default in text, (
         f"{path} does not state the default engine; it must say "

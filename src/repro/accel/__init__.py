@@ -13,11 +13,7 @@ build/caching story.
 """
 
 from repro.accel.build import AccelUnavailable, kernel_status, load_kernel
-from repro.accel.engines import (
-    KernelEngine,
-    accel_conservative_engine,
-    accel_sequential_engine,
-)
+from repro.accel.engines import KernelEngine, accel_sequential_engine
 
 __all__ = [
     "AccelUnavailable",
@@ -25,5 +21,4 @@ __all__ = [
     "load_kernel",
     "KernelEngine",
     "accel_sequential_engine",
-    "accel_conservative_engine",
 ]

@@ -16,11 +16,10 @@ offered through :meth:`KernelEngine.adopt_fabric`; an adopted fabric is
 says which it is: ``fabric`` (``"resident"`` or ``"python"``) and
 ``fabric_reason``, next to ``backend`` / ``backend_reason``.
 
-The factories (:func:`accel_sequential_engine` /
-:func:`accel_conservative_engine`) pick compiled-else-fallback and
-never raise for a missing compiler.  The fallback is the plain Python
-engine -- hence trivially bit-identical -- with ``backend = "python"``
-and the reason recorded on the instance.
+The ``accel-*`` presets (:mod:`repro.registry.engines`) pick
+compiled-else-fallback and never raise for a missing compiler.  The
+fallback is the plain Python engine -- hence trivially bit-identical --
+with ``backend = "python"`` and the reason recorded on the instance.
 
 Determinism contract: the compiled engine commits the identical event
 sequence -- same ``(time, priority, seq)`` keys, same RNG draw order,
@@ -34,20 +33,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.accel.build import AccelUnavailable, load_kernel
+from repro.accel.build import load_kernel
 from repro.accel import dispatch
 from repro.pdes.engine import Engine
 from repro.pdes.event import Event, Priority
 from repro.pdes.lp import LP
-from repro.pdes.sequential import SequentialEngine
 
-__all__ = [
-    "KernelEngine",
-    "accel_sequential_engine",
-    "accel_conservative_engine",
-]
-
-BACKENDS = ("compiled", "python")
+__all__ = ["KernelEngine", "accel_sequential_engine"]
 
 
 class KernelEngine(Engine):
@@ -56,8 +48,8 @@ class KernelEngine(Engine):
     Parameters are :class:`~repro.pdes.conservative.ConservativeEngine`'s
     (same meaning, same errors); ``lookahead=None`` selects the
     unwindowed loop and ignores the other two.  Raises
-    :exc:`AccelUnavailable` at construction when the kernel cannot be
-    built; use the factories below for the fall-back-cleanly behavior.
+    :exc:`~repro.accel.build.AccelUnavailable` at construction when the
+    kernel cannot be built; the ``accel-*`` presets fall back cleanly.
     """
 
     backend = "compiled"
@@ -196,56 +188,11 @@ class KernelEngine(Engine):
         return kern.now
 
 
-def _compiled_else_python(backend: str, compiled: Callable[[], Engine],
-                          python: Callable[[], Engine]) -> Engine:
-    """``compiled()`` when ``backend`` asks for it and the kernel can
-    be built, else ``python()`` with why recorded on the instance."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown accel backend {backend!r}; choose from {BACKENDS}")
-    reason = "backend 'python' requested"
-    if backend == "compiled":
-        try:
-            return compiled()
-        except AccelUnavailable as exc:
-            reason = str(exc)
-    eng = python()
-    eng.backend = "python"
-    eng.backend_reason = reason
-    eng.fabric_reason = "the python backend runs every LP in Python"
-    return eng
+def accel_sequential_engine() -> Engine:
+    """A fresh ``accel-sequential`` preset: the C kernel when it can be
+    built, otherwise a plain ``SequentialEngine`` with
+    ``backend_reason`` recording why.  Never raises for a missing
+    compiler."""
+    from repro.registry.engines import build_engine
 
-
-def accel_sequential_engine(backend: str = "compiled") -> Engine:
-    """An accelerated sequential engine, falling back cleanly.
-
-    ``backend="compiled"`` uses the C kernel when it can be built and
-    otherwise returns a plain :class:`SequentialEngine` with
-    ``backend_reason`` recording why; ``backend="python"`` forces the
-    fallback.  Never raises for a missing compiler.
-    """
-    return _compiled_else_python(backend, KernelEngine, SequentialEngine)
-
-
-def accel_conservative_engine(
-    topo: Any,
-    config: Any = None,
-    partitions: int = 4,
-    lookahead: float | None = None,
-    backend: str = "compiled",
-) -> Engine:
-    """An accelerated conservative engine partitioned for ``topo``.
-
-    Reuses :func:`repro.parallel.conservative_engine` for the partition
-    plan and lookahead derivation (structural errors -- too many
-    partitions, an unjustifiable lookahead -- surface identically);
-    only the scheduler core differs by backend.
-    """
-    from repro.parallel import conservative_engine
-
-    return _compiled_else_python(
-        backend,
-        lambda: conservative_engine(topo, config, partitions, lookahead,
-                                    engine_cls=KernelEngine),
-        lambda: conservative_engine(topo, config, partitions, lookahead),
-    )
+    return build_engine({"type": "accel-sequential"}, None)

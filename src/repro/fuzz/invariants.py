@@ -134,12 +134,10 @@ PARITY_REFERENCE = {"type": "sequential"}
 #: and cannot spawn children, so the inline backend exercises the full
 #: worker protocol (recipe, window exchange, merge) in-process;
 #: generated scenarios that cannot distribute exercise the fallback
-#: path, which must also match.  The accel engines: the default backend
-#: (the compiled kernel wherever this host can build one, else its
-#: recorded fallback), windowed too since whole YAWNS windows commit
-#: inside the kernel, and the forced python backend -- the latter
-#: unconditionally, so the fallback-parity guarantee can never go
-#: vacuous on a host where every default-backend run happens to compile.
+#: path, which must also match.  The accel engines: the compiled kernel
+#: wherever this host can build one, else its recorded fallback (the
+#: plain Python engine), windowed too since whole YAWNS windows commit
+#: inside the kernel.
 PARITY_ENGINES: tuple[tuple[str, dict], ...] = (
     ("conservative(partitions=2)",
      {"type": "conservative", "partitions": 2}),
@@ -148,8 +146,6 @@ PARITY_ENGINES: tuple[tuple[str, dict], ...] = (
     ("accel-sequential", {"type": "accel-sequential"}),
     ("accel-conservative(partitions=2)",
      {"type": "accel-conservative", "partitions": 2}),
-    ("accel-sequential(backend=python)",
-     {"type": "accel-sequential", "backend": "python"}),
     ("the default engine", None),
 )
 

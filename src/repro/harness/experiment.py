@@ -30,7 +30,8 @@ class ExperimentConfig:
     ``baseline:<app>`` for a single application running alone.
     ``engine`` names a registered execution engine (``None`` keeps the
     default preset); ``partitions`` parameterizes a partitioned
-    engine and is part of the cache key like every other field.
+    engine, so it needs ``engine`` set, and is part of the cache key
+    like every other field.
     """
 
     network: str = "1d"  # any registry topology name or alias ("1d", "2d", "fattree", "torus", "slimfly")
@@ -42,6 +43,13 @@ class ExperimentConfig:
     horizon: float | None = None
     engine: str | None = None
     partitions: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.partitions is not None and self.engine is None:
+            raise ValueError(
+                f"partitions={self.partitions} without an engine would run "
+                "the unpartitioned default; set engine (e.g. "
+                "engine=\"conservative\") to run partitioned")
 
     def engine_table(self) -> dict | None:
         """The ``[engine]``-style table this cell's manager consumes."""

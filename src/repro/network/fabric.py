@@ -61,7 +61,8 @@ class NetworkFabric:
     Parameters
     ----------
     topo:
-        Topology (1D or 2D dragonfly).
+        Any :class:`~repro.network.topology.PortGraph` (dragonfly,
+        fat-tree, torus, slim fly, ...).
     config:
         Link/packet parameters.
     routing:

@@ -131,7 +131,7 @@ class RouterLP(LP):
     def restore_port(self, port: int, state: tuple) -> None:
         """Restore a port state saved by :meth:`scale_port_bandwidth`."""
         self._ports[port] = state
-        resident = getattr(self.fabric, "_resident", None)
+        resident = self.fabric._resident
         if resident is not None:
             # the kernel forwards this router's packets: write through
             resident.set_port_bw(self.rid, port, state[1])

@@ -35,7 +35,7 @@ from repro.parallel.runtime import conservative_engine, resolve_lookahead
 #: (multiprocessing, merge plumbing) is only needed when an
 #: mp-conservative engine is actually requested.
 _MP_EXPORTS = frozenset(
-    {"MpConservativeEngine", "mp_conservative_engine", "WorkerFailure"}
+    {"MpConservativeEngine", "WorkerFailure"}
 )
 
 
@@ -54,7 +54,6 @@ __all__ = [
     "WorkerFailure",
     "conservative_engine",
     "min_cross_partition_latency",
-    "mp_conservative_engine",
     "plan_partitions",
     "resolve_lookahead",
 ]

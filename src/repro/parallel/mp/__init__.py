@@ -29,12 +29,11 @@ The execution model, the wire protocol and the fallback rules are
 documented in ``docs/engines.md``.
 """
 
-from repro.parallel.mp.engine import MpConservativeEngine, mp_conservative_engine
+from repro.parallel.mp.engine import MpConservativeEngine
 from repro.parallel.mp.channels import MP_BACKENDS, WorkerFailure
 
 __all__ = [
     "MP_BACKENDS",
     "MpConservativeEngine",
     "WorkerFailure",
-    "mp_conservative_engine",
 ]

@@ -33,15 +33,12 @@ the master no longer holds the events needed to continue locally.
 
 from __future__ import annotations
 
-from functools import partial
 from math import inf
 from typing import Any
 
-from repro.network.config import NetworkConfig
 from repro.parallel.mp.channels import MP_BACKENDS, WorkerFailure
 from repro.parallel.mp.merge import capture_base, merge_into_master
 from repro.parallel.mp.recipe import extract_recipe
-from repro.parallel.runtime import conservative_engine
 from repro.pdes.conservative import ConservativeEngine
 from repro.pdes.event import Event
 
@@ -252,22 +249,3 @@ class MpConservativeEngine(ConservativeEngine):
             pass
         be.shutdown()
 
-
-def mp_conservative_engine(
-    topo: Any,
-    config: NetworkConfig | None = None,
-    partitions: int = 4,
-    lookahead: float | None = None,
-    backend: str = "mp",
-) -> MpConservativeEngine:
-    """An :class:`MpConservativeEngine` partitioned for ``topo``.
-
-    Same contract as :func:`~repro.parallel.runtime.conservative_engine`
-    (plan derivation, lookahead validation), plus transport selection:
-    ``backend`` is ``"mp"`` (spawned processes, default) or
-    ``"inline"`` (in-process protocol emulation).
-    """
-    return conservative_engine(
-        topo, config, partitions, lookahead,
-        engine_cls=partial(MpConservativeEngine, backend=backend),
-    )

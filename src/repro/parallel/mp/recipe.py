@@ -66,17 +66,15 @@ def extract_recipe(session: "SimulationSession") -> tuple[bytes | None, str | No
     as ``engine.fallback_reason``, so they are written for users.
     """
     mgr = session.manager
-    policy = getattr(session, "policy", None)
-    if policy is not None and (
-        not getattr(policy, "scripted", True) or policy.name != "scripted"
-    ):
+    policy = session.policy
+    if not policy.scripted or policy.name != "scripted":
         return None, (
             f"session policy {policy.name!r} may intervene at run time; "
             "only the scripted baseline distributes"
         )
-    if getattr(mgr, "faults", None):
+    if mgr.faults:
         return None, "fault plans replay live engine state and cannot be distributed"
-    if getattr(mgr, "storage_nodes", None):
+    if mgr.storage_nodes:
         return None, "the storage subsystem uses message hooks and cannot be distributed"
     if not isinstance(mgr.routing, str):
         return None, f"manager routing must be a named strategy, got {type(mgr.routing).__name__}"

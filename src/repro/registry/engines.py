@@ -12,13 +12,12 @@ all resolve through one roster.  An engine is a point on three axes --
     ``none`` (one queue, commit in key order) or ``yawns`` (LPs split
     topology-aware -- whole dragonfly groups / fat-tree pods / torus
     slabs per partition -- and committed in lookahead windows; the
-    lookahead derives from the minimum cross-partition link latency
-    unless ``lookahead`` pins a tighter value).
+    lookahead is always derived from the minimum cross-partition link
+    latency).
 ``backend``
     ``python`` or ``compiled`` (the loop in the :mod:`repro.accel` C
     kernel; a host that cannot build it falls back to the
-    bit-identical Python engine with the reason recorded, and
-    ``backend = "python"`` in the table forces that).
+    bit-identical Python engine with the reason recorded).
 ``layout``
     ``in-process`` or ``mp`` (one worker process per partition,
     cross-partition events exchanged at window boundaries; models that
@@ -39,7 +38,8 @@ topology specs, an engine table cannot be instantiated standalone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Any, Mapping
 
 from repro.network.config import NetworkConfig
 from repro.pdes.engine import Engine
@@ -69,15 +69,12 @@ def engine_axes(**chosen: str) -> dict[str, str]:
 class EngineSpec(ComponentSpec):
     """One registered PDES engine.
 
-    A preset states its ``axes`` and is built by :func:`_build_preset`;
-    an engine from outside the roster brings its own
-    ``factory(topo, config, **params) -> Engine``.  Either way a fresh
-    engine is built for each simulation: engines hold per-run LP state,
-    so they are never shared between runs.
+    A preset states its ``axes`` and is built by :func:`_build_preset`,
+    fresh for each simulation: engines hold per-run LP state, so they
+    are never shared between runs.
     """
 
     axes: Mapping[str, str] = field(default_factory=engine_axes)
-    factory: Callable[..., Engine] | None = None
 
     @property
     def partitioned(self) -> bool:
@@ -85,8 +82,6 @@ class EngineSpec(ComponentSpec):
 
     def build(self, topo: Any, config: NetworkConfig | None,
               params: Mapping[str, Any]) -> Engine:
-        if self.factory is not None:
-            return self.factory(topo, config, **params)
         return _build_preset(self.axes, topo, config, **params)
 
 
@@ -114,9 +109,9 @@ def build_engine(table: Mapping[str, Any], topo: Any,
 
     ``topo``/``config`` are the fabric the engine will execute;
     partitioned engines derive their plan and lookahead from them.
-    Structural mismatches (more partitions than dragonfly groups, an
-    explicit lookahead the link latencies cannot justify) surface as
-    :class:`~repro.registry.core.RegistryError` with the key path.
+    Structural mismatches (more partitions than dragonfly groups)
+    surface as :class:`~repro.registry.core.RegistryError` with the key
+    path.
     """
     from repro.parallel import PartitionError
 
@@ -155,38 +150,49 @@ def default_engine_info(engine: Engine) -> dict[str, Any]:
 
 def _build_preset(axes: Mapping[str, str], topo: Any,
                   config: NetworkConfig | None, **params: Any) -> Engine:
-    """The one factory behind every preset: ``axes`` pick the engine,
-    ``params`` (the preset's declared parameters, resolved) size it."""
+    """The one factory behind every preset: ``axes`` pick the engine
+    class, ``params`` (the preset's declared parameters, resolved) size
+    it.  A windowed engine is partitioned for ``topo`` with its
+    lookahead derived from the plan; a ``compiled`` preset whose kernel
+    cannot load gets the same engine in Python, with ``backend =
+    "python"`` and the reason recorded."""
     windowed = axes["windowing"] == "yawns"
     if axes["layout"] == "mp":
-        from repro.parallel.mp import mp_conservative_engine
+        from repro.parallel.mp import MpConservativeEngine
 
-        return mp_conservative_engine(topo, config, **params)
-    if axes["backend"] == "compiled":
-        from repro import accel
+        cls = partial(MpConservativeEngine, backend=params.pop("backend"))
+    elif windowed:
+        from repro.pdes.conservative import ConservativeEngine
 
-        if windowed:
-            return accel.accel_conservative_engine(topo, config, **params)
-        return accel.accel_sequential_engine(**params)
-    if windowed:
+        cls = ConservativeEngine
+    else:
+        cls = SequentialEngine
+
+    def build(engine_cls) -> Engine:
+        if not windowed:
+            return engine_cls()
         from repro.parallel import conservative_engine
 
-        return conservative_engine(topo, config, **params)
-    return SequentialEngine()
+        return conservative_engine(topo, config, engine_cls=engine_cls, **params)
+
+    if axes["backend"] != "compiled":
+        return build(cls)
+    from repro.accel import AccelUnavailable, KernelEngine
+
+    try:
+        return build(KernelEngine)
+    except AccelUnavailable as exc:
+        reason = str(exc)
+    eng = build(cls)
+    eng.backend = "python"
+    eng.backend_reason = reason
+    eng.fabric_reason = "the python backend runs every LP in Python"
+    return eng
 
 
 _PARTITIONS = Param("partitions", "int",
                     "LP partitions (grouped topology-aware)",
                     default=4, minimum=1)
-_LOOKAHEAD = Param("lookahead", "float",
-                   "explicit lookahead override in seconds (default: derived "
-                   "from the partition plan's cross-partition links)",
-                   default=None)
-_ACCEL_BACKEND = Param("backend", "str",
-                       "event-loop backend: 'compiled' (the C kernel, falling "
-                       "back cleanly with the reason recorded when it cannot "
-                       "be built) or 'python' (force the pure-Python fallback)",
-                       default="compiled", choices=("compiled", "python"))
 
 
 register_engine(EngineSpec(
@@ -198,7 +204,7 @@ register_engine(EngineSpec(
     name="conservative",
     summary="partitioned YAWNS execution, lookahead from the minimum "
             "cross-partition link latency",
-    params=(_PARTITIONS, _LOOKAHEAD),
+    params=(_PARTITIONS,),
     axes=engine_axes(windowing="yawns"),
 ), aliases=("yawns",))
 
@@ -210,7 +216,6 @@ register_engine(EngineSpec(
         Param("partitions", "int", "LP partitions (grouped topology-aware), "
               "one worker process each",
               default=4, minimum=1),
-        _LOOKAHEAD,
         Param("backend", "str",
               "cross-process transport: 'mp' (spawned processes over "
               "pipes) or 'inline' (in-process protocol emulation)",
@@ -224,7 +229,6 @@ register_engine(EngineSpec(
     summary="sequential scheduling with the event loop in the compiled "
             "repro.accel kernel (bit-identical pure-Python fallback; "
             "the default)",
-    params=(_ACCEL_BACKEND,),
     axes=engine_axes(backend="compiled"),
 ), aliases=("fast",))
 
@@ -233,6 +237,6 @@ register_engine(EngineSpec(
     summary="partitioned YAWNS execution with the window loop in the "
             "compiled repro.accel kernel (bit-identical pure-Python "
             "fallback)",
-    params=(_PARTITIONS, _LOOKAHEAD, _ACCEL_BACKEND),
+    params=(_PARTITIONS,),
     axes=engine_axes(windowing="yawns", backend="compiled"),
 ), aliases=("fast-yawns",))

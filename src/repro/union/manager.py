@@ -44,13 +44,8 @@ from repro.registry import (
 from repro.telemetry import Telemetry
 from repro.union.event_generator import SimUnionAPI, SkeletonShared
 from repro.union.registry import get_skeleton
-from repro.union.session import SimulationSession
+from repro.union.session import SimulationSession, _placement_name
 from repro.union.skeleton import Skeleton
-
-
-def _placement_name(placement) -> str:
-    """Name of a placement given as a string or a registry spec object."""
-    return placement if isinstance(placement, str) else placement.name
 
 
 @dataclass

@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _placement_name(placement) -> str:
+    """Name of a placement given as a string or a registry spec object."""
     return placement if isinstance(placement, str) else placement.name
 
 
@@ -343,6 +344,10 @@ class SimulationSession:
         apps = []
         not_started: list[tuple[str, str]] = []
         results = self.mpi.results()
+        topo = mgr.topo
+        # Group-less fabrics (torus, fat-tree, slim fly) report an
+        # empty group set rather than faking a hierarchy.
+        group_of = getattr(topo, "group_of", None)
         for i, job in enumerate(mgr.jobs):
             app_id = self._job_app[i]
             if app_id is None:
@@ -355,10 +360,7 @@ class SimulationSession:
                 continue
             nodes = self._job_nodes[i]
             assert nodes is not None
-            routers = {mgr.topo.router_of_node(n) for n in nodes}
-            # Group-less fabrics (torus, fat-tree, slim fly) report an
-            # empty group set rather than faking a hierarchy.
-            group_of = getattr(mgr.topo, "group_of", None)
+            routers = {topo.router_of_node(n) for n in nodes}
             groups = {group_of(r) for r in routers} if group_of else set()
             apps.append(AppMetrics(
                 job.name, app_id, results[app_id], nodes, routers, groups,

@@ -3,7 +3,7 @@
 The contract under test: ``load_kernel`` builds the C extension on
 first use into a source-hash-keyed cache, *anything* that prevents a
 native kernel raises :exc:`AccelUnavailable` with a human-readable
-reason, and the engine factories turn that reason into a recorded
+reason, and the ``accel-*`` presets turn that reason into a recorded
 ``backend: python`` fallback instead of an error.  ``pip install`` and
 import must never require a compiler.
 """
@@ -66,17 +66,6 @@ def test_no_compiler_records_clean_fallback(tmp_path, monkeypatch, reset_memo):
     assert "no C compiler" in eng.backend_reason
     # The failure is memoized too -- no repeated compiler probing.
     assert accel_build._memo == (None, eng.backend_reason)
-
-
-def test_backend_python_is_always_available():
-    eng = accel_sequential_engine(backend="python")
-    assert eng.backend == "python"
-    assert eng.backend_reason == "backend 'python' requested"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown accel backend"):
-        accel_sequential_engine(backend="rust")
 
 
 @pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,

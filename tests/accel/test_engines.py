@@ -3,10 +3,11 @@
 The headline guarantee (the tentpole's oracle): an ``accel-*`` engine
 commits the *identical* event sequence as its pure-Python counterpart
 -- scenario result JSON bit-identical modulo the ``engine`` stanza --
-on both backends, with the backend that actually ran surfaced
-non-vacuously in that stanza.  Compiled-backend cases are gated on this
-host being able to build the kernel; the forced-``python`` cases run
-unconditionally, so fallback parity can never go vacuous.
+compiled and on its recorded fallback, with the backend that actually
+ran surfaced non-vacuously in that stanza.  Compiled-backend cases are
+gated on this host being able to build the kernel; the fallback cases
+disable the kernel and run unconditionally, so fallback parity can
+never go vacuous.
 """
 
 import os
@@ -15,9 +16,7 @@ import shutil
 import pytest
 
 from repro.accel import kernel_status
-from repro.network.config import NetworkConfig
-from repro.network.dragonfly import Dragonfly1D
-from repro.registry import RegistryError, build_engine, engine_registry
+from repro.registry import engine_registry
 from repro.scenario import oracle, parse_scenario, run_scenario
 
 COMPILED = kernel_status()["available"]
@@ -32,18 +31,9 @@ def test_registry_entries_and_aliases():
     con = engine_registry.get("accel-conservative")
     assert engine_registry.get("fast") is seq
     assert engine_registry.get("fast-yawns") is con
-    backend = {p.name: p for p in seq.params}["backend"]
-    assert backend.choices == ("compiled", "python")
-    assert backend.default == "compiled"
-    con_params = {p.name for p in con.params}
-    assert con_params == {"partitions", "lookahead", "backend"}
+    assert seq.param_names() == ()
+    assert con.param_names() == ("partitions",)
     assert con.partitioned and not seq.partitioned
-
-
-def test_bogus_backend_rejected_with_choices():
-    with pytest.raises(RegistryError, match="compiled"):
-        build_engine({"type": "accel-sequential", "backend": "bogus"},
-                     Dragonfly1D.mini(), NetworkConfig())
 
 
 def test_compiler_host_actually_compiles():
@@ -78,12 +68,13 @@ def _result_json(engine_table):
     return oracle.split(run_scenario(_scenario(engine_table)).to_json_dict())
 
 
-def test_python_backend_bit_identical_to_sequential():
+def test_python_backend_bit_identical_to_sequential(monkeypatch):
     _, base = _result_json({"type": "sequential"})
-    eng, doc = _result_json({"type": "accel-sequential", "backend": "python"})
+    monkeypatch.setenv("UNION_ACCEL_DISABLE", "1")
+    eng, doc = _result_json({"type": "accel-sequential"})
     assert doc == base
     assert eng["backend"] == "python"
-    assert eng["backend_reason"] == "backend 'python' requested"
+    assert eng["backend_reason"] == "disabled via UNION_ACCEL_DISABLE"
     # No silent downgrade: a Python fabric is reported with its reason.
     assert eng["fabric"] == "python" and eng["fabric_reason"]
 
@@ -111,12 +102,13 @@ def test_compiled_conservative_bit_identical_to_sequential():
     assert eng["windows"] > 0
 
 
-def test_python_conservative_bit_identical_to_sequential():
+def test_python_conservative_bit_identical_to_sequential(monkeypatch):
     _, base = _result_json({"type": "sequential"})
-    eng, doc = _result_json({"type": "accel-conservative", "partitions": 3,
-                             "backend": "python"})
+    monkeypatch.setenv("UNION_ACCEL_DISABLE", "1")
+    eng, doc = _result_json({"type": "accel-conservative", "partitions": 3})
     assert doc == base
     assert eng["backend"] == "python"
+    assert eng["windows"] > 0
 
 
 # -- stepping parity ---------------------------------------------------------

@@ -28,6 +28,15 @@ def test_make_topology():
         make_topology("1d", "giant")
 
 
+def test_partitions_without_an_engine_is_refused():
+    # It would silently run the unpartitioned default, and cache under a
+    # key distinct from the identical engine=None cell.
+    with pytest.raises(ValueError, match="set engine"):
+        ExperimentConfig(partitions=4)
+    cfg = ExperimentConfig(engine="conservative", partitions=4)
+    assert cfg.engine_table() == {"type": "conservative", "partitions": 4}
+
+
 def test_combos_order():
     assert COMBOS == ("rg-min", "rr-min", "rn-min", "rg-adp", "rr-adp", "rn-adp")
 

@@ -22,7 +22,6 @@ from repro.mpi.engine import JobSpec, SimMPI
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.fabric import NetworkFabric
-from repro.parallel import mp_conservative_engine
 from repro.parallel.partition import PartitionError
 from repro.registry import RegistryError, build_engine
 from repro.scenario import oracle, parse_scenario, run_scenario
@@ -125,8 +124,9 @@ def test_fallback_without_session_still_matches():
                 fabric.engine.events_processed)
 
     ref = run(None)
-    eng = mp_conservative_engine(Dragonfly1D.mini(), NetworkConfig(seed=9),
-                                 partitions=3, backend="inline")
+    eng = build_engine({"type": "mp-conservative", "partitions": 3,
+                        "backend": "inline"},
+                       Dragonfly1D.mini(), NetworkConfig(seed=9))
     assert run(eng) == ref
     assert eng.execution_mode == "local"
     assert "no model recipe bound" in eng.fallback_reason

@@ -137,22 +137,6 @@ def test_partitions_below_one_is_a_clear_error():
         plan_partitions(Dragonfly1D.mini(), 0)
 
 
-def test_explicit_lookahead_above_topology_minimum_is_refused():
-    topo = Dragonfly1D.mini()
-    config = NetworkConfig()
-    ceiling = config.global_latency + config.router_delay
-    with pytest.raises(PartitionError, match="exceeds the minimum cross-partition"):
-        conservative_engine(topo, config, partitions=3, lookahead=ceiling * 2)
-    # At or below the ceiling it is accepted verbatim.
-    eng = conservative_engine(topo, config, partitions=3, lookahead=ceiling / 2)
-    assert eng.lookahead == pytest.approx(ceiling / 2)
-
-
-def test_nonpositive_explicit_lookahead_is_refused():
-    with pytest.raises(PartitionError, match="positive"):
-        conservative_engine(Dragonfly1D.mini(), partitions=2, lookahead=0.0)
-
-
 def test_derived_lookahead_matches_cross_partition_minimum():
     topo = Dragonfly1D.mini()
     config = NetworkConfig()

@@ -5,8 +5,8 @@ of naming classes, so they follow the registry's axes: a preset added
 to (or removed from) ``repro.registry.engines`` joins (or leaves) them
 without an edit here.  Windowed presets get three partitions of the
 mini 1D dragonfly, ``mp`` layouts the spawn-free ``inline`` transport,
-and ``compiled`` backends run twice -- as built on this host (the
-kernel, or its recorded fallback) and forced to ``python``.
+and ``compiled`` backends run as built on this host (the kernel, or
+its recorded fallback).
 """
 
 import pytest
@@ -20,21 +20,19 @@ TOPO = Dragonfly1D.mini()
 N_LPS = TOPO.n_routers
 
 
-def _tables(spec):
+def _table(spec):
     table = {"type": spec.name}
     if spec.axes["windowing"] == "yawns":
         table["partitions"] = 3
     if spec.axes["layout"] == "mp":
         table["backend"] = "inline"
-    yield spec.name, table
-    if spec.axes["backend"] == "compiled":
-        yield f"{spec.name}[python]", {**table, "backend": "python"}
+    return table
 
 
-#: ``pytest.param(make, spec)`` per preset variant; ``make()`` builds a
-#: fresh engine, ``spec`` is its :class:`~repro.registry.EngineSpec`.
+#: ``pytest.param(make, spec)`` per preset; ``make()`` builds a fresh
+#: engine, ``spec`` is its :class:`~repro.registry.EngineSpec`.
 PRESETS = [
-    pytest.param(lambda table=table: build_engine(table, TOPO), spec, id=label)
+    pytest.param(lambda table=_table(spec): build_engine(table, TOPO), spec,
+                 id=spec.name)
     for spec in engine_registry
-    for label, table in _tables(spec)
 ]

@@ -269,20 +269,23 @@ def test_engine_registry_roster():
     spec = engine_registry.get("conservative")
     assert spec.axes == engine_axes(windowing="yawns")
     assert spec.partitioned
-    assert spec.param_names() == ("partitions", "lookahead")
+    assert spec.param_names() == ("partitions",)
     mp = engine_registry.get("mp-conservative")
     assert mp.axes == engine_axes(windowing="yawns", layout="mp")
     assert mp.partitioned
-    assert mp.param_names() == ("partitions", "lookahead", "backend")
+    assert mp.param_names() == ("partitions", "backend")
     assert {p.name: p for p in mp.params}["backend"].choices == ("mp", "inline")
     acc = engine_registry.get("accel-sequential")
     assert acc.axes == engine_axes(backend="compiled")
     assert not acc.partitioned
-    assert acc.param_names() == ("backend",)
+    assert acc.param_names() == ()
     acc_con = engine_registry.get("accel-conservative")
     assert acc_con.axes == engine_axes(windowing="yawns", backend="compiled")
     assert acc_con.partitioned
-    assert acc_con.param_names() == ("partitions", "lookahead", "backend")
+    assert acc_con.param_names() == ("partitions",)
+    # An [engine] table names an engine and a partition count (plus the
+    # mp transport); nothing the code derives itself is settable.
+    assert sum(len(s.params) for s in engine_registry) == 4
     with pytest.raises(ValueError, match="windowing"):
         engine_axes(windowing="timewarp")
 
@@ -308,22 +311,18 @@ def test_build_engine_dispatches_and_validates():
         build_engine({"type": "conservative", "partitions": 12}, topo)
 
 
-def test_register_custom_engine_reaches_cli_and_scenarios():
-    from repro.pdes.sequential import SequentialEngine
-    from repro.registry import EngineSpec, engine_registry, register_engine
-    from repro.scenario import parse_scenario
+@pytest.mark.parametrize("table", [
+    {"type": "accel-sequential", "backend": "python"},
+    {"type": "conservative", "lookahead": 1e-7},
+], ids=["backend", "lookahead"])
+def test_removed_engine_params_are_unknown(table):
+    from repro.registry import RegistryError, build_engine
+    from repro.scenario import ScenarioError, parse_scenario
 
-    register_engine(EngineSpec(
-        name="turbo",
-        summary="test engine",
-        factory=lambda topo, config: SequentialEngine(),
-    ))
-    try:
-        data = {"jobs": [{"app": "nn"}], "engine": {"type": "turbo"}}
-        assert parse_scenario(data).engine == {"type": "turbo"}
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["run", "--engine", "turbo"])
-        assert args.engine == "turbo"
-    finally:
-        engine_registry._specs.pop("turbo", None)
+    (param,) = set(table) - {"type"}
+    match = rf"engine\.{param}: unknown parameter"
+    with pytest.raises(RegistryError, match=match):
+        build_engine(table, Dragonfly1D.mini())
+    # The scenario parser reports the registry's message verbatim.
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario({"jobs": [{"app": "nn"}], "engine": table})

@@ -194,7 +194,7 @@ def test_omitted_engine_table_stays_none():
     ({"type": "warp9"}, "unknown engine"),
     ({"type": "conservative", "partitions": 0}, "must be >= 1"),
     ({"type": "conservative", "partitions": "many"}, "expected an integer"),
-    ({"type": "conservative", "lookahead": "tight"}, "expected a number"),
+    ({"type": "mp-conservative", "backend": 2}, "expected a string"),
     ({"type": "sequential", "partitions": 2}, "unknown parameter"),
     ({"type": "conservative", "window": 5}, "unknown parameter"),
 ])
@@ -203,17 +203,6 @@ def test_engine_table_validation_errors(table, match):
     data["engine"] = table
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(data)
-
-
-def test_engine_lookahead_ceiling_is_checked_at_build_time():
-    from repro.registry import RegistryError
-    from repro.scenario import run_scenario
-
-    data = dict(GOOD)
-    data["engine"] = {"type": "conservative", "partitions": 3, "lookahead": 1.0}
-    spec = parse_scenario(data)  # parses: the ceiling needs the topology
-    with pytest.raises(RegistryError, match="exceeds the minimum cross-partition"):
-        run_scenario(spec)
 
 
 def test_env_table_parses_and_round_trips():

@@ -132,6 +132,16 @@ def test_engines_doc_drift_is_caught(check_docs, tmp_path):
         check_docs.check_engines_doc(p)
 
 
+def test_engines_doc_preset_row_lists_exactly_its_params(check_docs, tmp_path):
+    text = (REPO / "docs" / "engines.md").read_text()
+    row = "| `conservative` (`yawns`) | `yawns` | `python` | `in-process` | `partitions` |"
+    assert row in text
+    p = tmp_path / "engines.md"
+    p.write_text(text.replace(row, row[:-2] + ", `lookahead` |"))
+    with pytest.raises(AssertionError, match="lookahead"):
+        check_docs.check_engines_doc(p)
+
+
 def test_engines_doc_must_name_fabric_sync(check_docs, tmp_path):
     text = (REPO / "docs" / "engines.md").read_text()
     p = tmp_path / "engines.md"
