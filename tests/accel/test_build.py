@@ -68,6 +68,27 @@ def test_no_compiler_records_clean_fallback(tmp_path, monkeypatch, reset_memo):
     assert accel_build._memo == (None, eng.backend_reason)
 
 
+@pytest.mark.parametrize("table", [
+    {"type": "accel-sequential"},
+    {"type": "accel-conservative", "partitions": 3},
+], ids=["accel-sequential", "accel-conservative"])
+def test_backend_python_is_always_available(table, monkeypatch):
+    """Whatever stops the kernel loading, both compiled presets build
+    their Python engine and record that reason verbatim."""
+    from repro.accel import engines as accel_engines
+    from repro.network.dragonfly import Dragonfly1D
+    from repro.registry import build_engine
+
+    def unavailable():
+        raise AccelUnavailable("kernel went missing")
+
+    monkeypatch.setattr(accel_engines, "load_kernel", unavailable)
+    eng = build_engine(table, Dragonfly1D.mini())
+    assert eng.backend == "python"
+    assert eng.backend_reason == "kernel went missing"
+    assert (eng.lookahead is not None) == ("partitions" in table)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,
                     reason="no C compiler on this host")
 def test_fresh_build_into_cache_dir(tmp_path, monkeypatch, reset_memo):

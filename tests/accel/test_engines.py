@@ -16,7 +16,9 @@ import shutil
 import pytest
 
 from repro.accel import kernel_status
-from repro.registry import engine_registry
+from repro.network.config import NetworkConfig
+from repro.network.dragonfly import Dragonfly1D
+from repro.registry import RegistryError, build_engine, engine_registry
 from repro.scenario import oracle, parse_scenario, run_scenario
 
 COMPILED = kernel_status()["available"]
@@ -34,6 +36,18 @@ def test_registry_entries_and_aliases():
     assert seq.param_names() == ()
     assert con.param_names() == ("partitions",)
     assert con.partitioned and not seq.partitioned
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("accel-sequential", r"\(none\)"),
+    ("accel-conservative", "partitions"),
+])
+def test_bogus_backend_rejected_with_choices(name, expected):
+    # The kernel-or-fallback choice is the code's, not the table's; the
+    # error lists what the preset does accept.
+    with pytest.raises(RegistryError, match=f"expected one of: {expected}"):
+        build_engine({"type": name, "backend": "python"},
+                     Dragonfly1D.mini(), NetworkConfig())
 
 
 def test_compiler_host_actually_compiles():

@@ -5,9 +5,14 @@ of naming classes, so they follow the registry's axes: a preset added
 to (or removed from) ``repro.registry.engines`` joins (or leaves) them
 without an edit here.  Windowed presets get three partitions of the
 mini 1D dragonfly, ``mp`` layouts the spawn-free ``inline`` transport,
-and ``compiled`` backends run as built on this host (the kernel, or
-its recorded fallback).
+and ``compiled`` backends run twice -- as built on this host (the
+kernel, or its recorded fallback) and with the kernel disabled, so the
+``backend = "python"`` fallback the preset records is exercised on
+every host.
 """
+
+import os
+from unittest import mock
 
 import pytest
 
@@ -29,10 +34,22 @@ def _table(spec):
     return table
 
 
-#: ``pytest.param(make, spec)`` per preset; ``make()`` builds a fresh
-#: engine, ``spec`` is its :class:`~repro.registry.EngineSpec`.
+def _fallback(table):
+    with mock.patch.dict(os.environ, {"UNION_ACCEL_DISABLE": "1"}):
+        return build_engine(table, TOPO)
+
+
+def _variants(spec):
+    table = _table(spec)
+    yield spec.name, lambda: build_engine(table, TOPO)
+    if spec.axes["backend"] == "compiled":
+        yield f"{spec.name}[python]", lambda: _fallback(table)
+
+
+#: ``pytest.param(make, spec)`` per preset variant; ``make()`` builds a
+#: fresh engine, ``spec`` is its :class:`~repro.registry.EngineSpec`.
 PRESETS = [
-    pytest.param(lambda table=_table(spec): build_engine(table, TOPO), spec,
-                 id=spec.name)
+    pytest.param(make, spec, id=label)
     for spec in engine_registry
+    for label, make in _variants(spec)
 ]

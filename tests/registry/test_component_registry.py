@@ -311,6 +311,38 @@ def test_build_engine_dispatches_and_validates():
         build_engine({"type": "conservative", "partitions": 12}, topo)
 
 
+def test_register_custom_engine_reaches_cli_and_scenarios():
+    from repro.registry import (
+        EngineSpec,
+        build_engine,
+        engine_axes,
+        engine_registry,
+        register_engine,
+    )
+    from repro.scenario import parse_scenario
+
+    # A new preset is a new point on the axes; _build_preset builds it.
+    register_engine(EngineSpec(
+        name="turbo",
+        summary="test engine",
+        params=(Param("partitions", "int", "LP partitions",
+                      default=2, minimum=1),),
+        axes=engine_axes(windowing="yawns", backend="compiled"),
+    ))
+    try:
+        data = {"jobs": [{"app": "nn"}], "engine": {"type": "turbo"}}
+        assert parse_scenario(data).engine == {"type": "turbo"}
+        eng = build_engine({"type": "turbo"}, Dragonfly1D.mini())
+        assert eng.describe()["partitions"] == 2
+        assert eng.describe()["lookahead"] > 0
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["run", "--engine", "turbo"])
+        assert args.engine == "turbo"
+    finally:
+        engine_registry._specs.pop("turbo", None)
+
+
 @pytest.mark.parametrize("table", [
     {"type": "accel-sequential", "backend": "python"},
     {"type": "conservative", "lookahead": 1e-7},

@@ -205,6 +205,17 @@ def test_engine_table_validation_errors(table, match):
         parse_scenario(data)
 
 
+def test_engine_partition_plan_is_checked_at_build_time():
+    from repro.registry import RegistryError
+    from repro.scenario import run_scenario
+
+    data = dict(GOOD)
+    data["engine"] = {"type": "conservative", "partitions": 12}
+    spec = parse_scenario(data)  # parses: the plan needs the topology
+    with pytest.raises(RegistryError, match="engine: cannot split"):
+        run_scenario(spec)
+
+
 def test_env_table_parses_and_round_trips():
     data = dict(GOOD)
     data["env"] = {"policy": {"type": "admission", "min_free": 4},
