@@ -22,9 +22,14 @@ on ``accel-sequential`` -- and asserts:
    default engine writes the kernel's state back into its Python
    mirrors at most 4 times per delivered message (``sync_ops``) --
    write-backs follow Python's reads, not the per-message seams;
-6. (compiled only) 20 back-to-back storms, each with that allreduce,
-   leak nothing: the count of gc-tracked objects is flat and RSS grows
-   by less than 1 MB after the second.
+6. (compiled only) resident ranks: that allreduce ran with
+   ``ranks: "resident"`` and entered Python (``Kernel.py_entries``:
+   generator resumes, rank starts and finishes, callbacks, generic
+   handlers) less than once per delivered message, while a storage
+   scenario keeps its ranks in Python and says why;
+7. (compiled only) 20 back-to-back storms, each with that allreduce on
+   resident ranks, leak nothing: the count of gc-tracked objects is flat
+   and RSS grows by less than 1 MB after the second.
 
 ``--build-sanitized`` instead rebuilds the kernel with UBSan (and
 ``--asan`` AddressSanitizer) into ``UNION_ACCEL_CACHE`` under the key
@@ -74,6 +79,17 @@ FAULTS = [
 
 #: Mirror writes per delivered message the allreduce drill may cost.
 MAX_SYNC_OPS_PER_MESSAGE = 4
+#: Calls into Python per delivered message the allreduce drill may cost.
+MAX_PY_ENTRIES_PER_MESSAGE = 1
+
+STORAGE = {
+    "name": "accel-smoke-storage",
+    "topology": {"network": "1d", "scale": "mini"},
+    "seed": 5,
+    "horizon": 0.001,
+    "storage": {"servers": 2},
+    "jobs": [{"app": "nn", "nranks": 8, "params": {"dims": [2, 2, 2]}}],
+}
 
 
 def allreduce_drill():
@@ -108,6 +124,23 @@ def pull_drill() -> None:
     assert per_message <= MAX_SYNC_OPS_PER_MESSAGE, (
         f"{per_message:.2f} mirror writes per message (at most "
         f"{MAX_SYNC_OPS_PER_MESSAGE}): the seams are writing back again")
+
+
+def ranks_drill(run) -> None:
+    fabric = allreduce_drill()
+    engine = fabric.engine
+    assert engine.ranks == "resident", (
+        f"the allreduce ranks were not adopted: {engine.ranks_reason!r}")
+    per_message = engine._kernel.py_entries / fabric.messages_delivered
+    print(f"ranks drill: {per_message:.2f} Python entries per message over "
+          f"{fabric.messages_delivered} messages")
+    assert per_message < MAX_PY_ENTRIES_PER_MESSAGE, (
+        f"{per_message:.2f} calls into Python per message (fewer than "
+        f"{MAX_PY_ENTRIES_PER_MESSAGE}): the ranks run in Python again")
+    info, _ = run(STORAGE)
+    assert info["ranks"] == "python" and info["ranks_reason"], (
+        f"a storage scenario must keep its ranks in Python, with a reason: {info}")
+    print(f"ranks drill: storage keeps ranks in Python ({info['ranks_reason']})")
 
 
 def rss_kb() -> int:
@@ -161,9 +194,9 @@ def main() -> int:
     from repro.scenario import oracle, parse_scenario
     from repro.scenario.runner import run_scenario
 
-    def run(engine, faults=None):
+    def run(engine, faults=None, scenario=SCENARIO):
         """``(engine stanza, canonical result JSON)`` of one run."""
-        spec = dict(SCENARIO, engine={"type": engine})
+        spec = dict(scenario, engine={"type": engine})
         if faults is not None:
             spec["faults"] = faults
         return oracle.split(run_scenario(parse_scenario(spec)).to_json_dict())
@@ -209,6 +242,7 @@ def main() -> int:
           f"{engine['fabric']}, scenario JSON bit-identical to sequential")
     if backend == "compiled":
         pull_drill()
+        ranks_drill(lambda scenario: run("accel-sequential", scenario=scenario))
         leak_drill(lambda: (run("accel-sequential"), allreduce_drill()))
     return 0
 

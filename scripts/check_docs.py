@@ -22,7 +22,8 @@ Three invariants keep the docs honest:
    and state which preset ``DEFAULT_ENGINE`` is, so the engine
    reference cannot drift from :mod:`repro.registry.engines`; it must
    also name ``fabric.sync()``, the resident fabric's pull-coherence
-   call.
+   call, every :class:`~repro.pdes.engine.Engine` hook (``adopt_ranks``
+   among them) and the ``ranks``/``ranks_reason`` stanza keys.
 6. ``docs/env.md`` must name every registered control policy (with its
    declared parameters) and every field of the session
    :class:`~repro.union.session.Observation` snapshot, so the control
@@ -218,7 +219,14 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
     assert "`fabric.sync()`" in text, (
         f"{path} does not name `fabric.sync()`, the way to read a resident "
         "fabric's mirrors between coherence points")
-    return len(names) + 2
+    hooks = ("adopt_fabric", "adopt_ranks", "bind_model_source",
+             "bind_telemetry", "describe", "close")
+    unnamed = [h for h in hooks if f"`{h}(" not in text]
+    unnamed += [k for k in ("ranks", "ranks_reason") if f"`{k}`" not in text]
+    assert not unnamed, (
+        f"{path} does not name engine hook(s)/stanza key(s) {unnamed}; the "
+        "hook table and the resident-ranks section must (backtick-quoted)")
+    return len(names) + 2 + len(hooks) + 2
 
 
 def check_env_doc(path: Path = DOCS / "env.md") -> int:

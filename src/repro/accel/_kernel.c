@@ -16,9 +16,12 @@
  * Python is entered once per message (inject() on the way in, the
  * fabric's injected/delivered seams on the way out), for generic LPs,
  * and for routing policies the kernel does not implement (one
- * select_path call per packet at NIC departure).
+ * select_path call per packet at NIC departure).  Messages a resident
+ * rank sends (_ranks.c) cross no seam at all: the rank machine injects
+ * them and takes their injection and delivery natively, and Python is
+ * entered to resume the rank's generator.
  *
- * Coherence is pulled, not pushed: fabric_flush() writes everything
+ * Coherence is pulled, not pushed: kern_flush() writes everything
  * touched since the last flush into the Python objects that mirror it
  * (RouterLP.busy_until / pending_starts / packets_forwarded,
  * TerminalLP.inj_queue / busy_until, link and per-app byte counters in
@@ -51,18 +54,12 @@
  *     adopt() reads it; ABI_VERSION moves whenever the layout does.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_kernel.h"
+
 #include <structmember.h>
 
 #include <math.h>
-#include <stdint.h>
 #include <string.h>
-
-#define SEQ_ORIGIN_SHIFT 40
-#define ABI_VERSION 3
-#define PATH_MAX_HOPS 64 /* longest router path a packet may carry */
-#define PATH_INLINE 10   /* stored in the packet itself up to here   */
 
 static PyObject *str_seq, *str_kind, *str_state, *str_popleft, *str_append,
     *str_packets_forwarded, *str_busy_until, *str_bind_source;
@@ -71,20 +68,13 @@ static PyTypeObject *deque_type; /* collections.deque */
 /* ---------------------------------------------------------------- */
 /* heap entries                                                      */
 
-enum { EV_PY = 0, EV_PKT, EV_DRAIN, EV_INJ_DONE };
-static const char *const ev_names[] = {"", "pkt", "drain", "inj_done"};
+static const char *const ev_names[] = {"", "pkt", "drain", "inj_done",
+                                       "loopback", "wake"};
 
-typedef struct {
-    double time;
-    int64_t seq;
-    int32_t dst;
-    int16_t prio;
-    int16_t kind;
-    union {
-        PyObject *ev; /* EV_PY: the Event (owned)                     */
-        int64_t ref;  /* EV_PKT: packet index; EV_INJ_DONE: message   */
-    } u;
-} entry_t;
+/* (the pool reallocates, so a packet cannot point into itself) */
+#define PKT_PATH(p) ((p)->plen > PATH_INLINE ? (p)->ext : (p)->inl)
+
+enum { POL_MIN = 0, POL_ADP, POL_PY };
 
 static inline int
 entry_lt(const entry_t *a, const entry_t *b)
@@ -95,182 +85,6 @@ entry_lt(const entry_t *a, const entry_t *b)
         return a->prio < b->prio;
     return a->seq < b->seq;
 }
-
-/* ---------------------------------------------------------------- */
-/* resident fabric state                                             */
-
-/* The fabric's constants arrive as arrays of these rows, packed by
- * accel/dispatch.py exactly as declared (all int32, or all double). */
-typedef struct {
-    int32_t lp_id, port0, adj0; /* first port / neighbour slot; the   */
-} rrow_t;                       /* array ends with a closing row      */
-
-typedef struct {
-    int32_t peer;               /* LP the port feeds                  */
-    int32_t link, router, local, peer_router, hop_inc;
-} prow_t;
-
-typedef struct {
-    double bw, extra;           /* bandwidth, post-transmit latency   */
-} plink_t;
-
-typedef struct {
-    int32_t lp_id, router, router_lp, eject_port, uplink;
-} trow_t;
-
-/* ... and the state that changes: */
-typedef struct {
-    double busy;
-    double *ring;          /* pending transmit starts, power-of-two ring */
-    int64_t head, tail;    /* absolute pop / push counts                 */
-    int64_t synced_head, synced_tail; /* as of the last flush            */
-    int32_t cap;
-    int8_t dirty;
-} port_t;
-
-typedef struct {
-    int64_t forwarded;
-    int8_t dirty;
-} router_t;
-
-typedef struct {
-    double busy;
-    int64_t pkt_seq;               /* packets this node has injected   */
-    int64_t head, tail;            /* absolute pop / push packet counts */
-    int64_t synced_head, synced_tail; /* as of the last flush          */
-    int64_t cur_left;              /* the inj_queue cursor: flush_nic  */
-    int32_t cur_slot;
-    int32_t qhead, qtail;          /* FIFO of message slots; -1: empty */
-    int8_t dirty;
-} term_t;
-
-typedef struct {
-    int64_t msg_id, remaining;
-    int64_t left;                  /* bytes not yet turned to packets  */
-    int32_t app, dst_node;
-    int32_t next;                  /* next in the NIC FIFO / free list */
-    int8_t injected, delivered;    /* slot is reused once both are set */
-} msg_t;
-
-typedef struct {
-    int64_t size;
-    int32_t *ext;                  /* the path when plen > PATH_INLINE  */
-    int32_t slot, app, dst_node, next_free;
-    int16_t hop, plen;
-    int32_t inl[PATH_INLINE];      /* ... and when it is not            */
-} pkt_t;
-
-/* (the pool reallocates, so a packet cannot point into itself) */
-#define PKT_PATH(p) ((p)->plen > PATH_INLINE ? (p)->ext : (p)->inl)
-
-typedef struct {
-    int64_t app_id, total, nonmin; /* packet-count deltas              */
-    int32_t policy;                /* -1: the fabric-wide policy       */
-    int8_t dirty_total, dirty_nonmin;
-} app_t;
-
-typedef struct {
-    int64_t bin, delta;            /* bytes not yet in the Python bin  */
-    int8_t dirty;
-} cell_t;
-
-enum { POL_MIN = 0, POL_ADP, POL_PY };
-
-typedef struct {
-    PyObject *obj, *streams;       /* owned                            */
-    uint64_t *state;               /* one SplitMix word per router     */
-    int8_t *sdirty;
-    double bias;
-    int32_t kind, last_src;
-} policy_t;
-
-/* What fabric_flush has to write back, in first-touch order. */
-enum { D_PORT, D_ROUTER, D_LINK, D_CELL, D_TOTAL, D_NONMIN, D_TERM, D_STREAM };
-
-typedef struct {
-    int32_t kind, idx;
-} dirty_t;
-
-/* The items of that tuple: seven lists (their required lengths are in
- * Kernel_adopt), two dicts, then a dict-like and five callables. */
-enum {
-    O_LPS_R, O_BUSY_LISTS, O_PENDING_LISTS, O_LPS_T, O_INJ_QUEUES,
-    O_LINK_BYTES, O_PKT_SEQ, O_TOTAL_PACKETS, O_NONMIN_PACKETS, O_APP_BINS,
-    O_APP_RECORD, O_ON_INJECTED, O_ON_DELIVERED, O_LOCAL_TAILS,
-    O_CHECKED_PATH, N_OBJS
-};
-
-typedef struct {
-    int32_t n_routers, n_nodes, n_ports, n_links;
-    rrow_t *rrow;
-    prow_t *prow;
-    plink_t *plink;
-    trow_t *trow;
-    router_t *routers;
-    port_t *ports;
-    term_t *terms;
-    int32_t *adj;      /* per neighbour slot: (neighbour, first cand), +1 row */
-    int32_t *cand;     /* candidate ports towards a neighbour              */
-    double terminal_bw, inject_latency, window;
-    int64_t packet_bytes;
-    int app_on, load_on;
-    int64_t *link_delta;
-    int8_t *link_dirty;
-    msg_t *msgs;
-    pkt_t *pkts;
-    int32_t n_msgs, cap_msgs, free_msg, n_pkts, cap_pkts, free_pkt;
-    app_t *apps;
-    cell_t *cells;     /* [app][router] */
-    policy_t *pols;
-    int32_t n_apps, n_pols, default_pol;
-    /* dragonfly tables (n_groups == 0: no native policy possible):
-     * gw / gp hold (n_groups^2 | n_routers*n_groups) + 1 offsets into
-     * themselves, then the gateway routers / global ports */
-    int32_t n_groups, rpg;
-    int32_t *gw, *gp;
-    int32_t *tails_at; /* [src][dst % rpg] -> offset into tails, 0: unset */
-    int32_t *tails;    /* ntails, then (len, routers...) per tail         */
-    int32_t n_tails, cap_tails;
-    dirty_t *dirty;
-    Py_ssize_t n_dirty;
-    /* the tuple accel/dispatch.py handed over (owned), and its items:
-     * the Python mirrors and the callables Python is entered through */
-    PyObject *objs, *o[N_OBJS];
-} fabric_t;
-
-/* ---------------------------------------------------------------- */
-/* the Kernel object                                                 */
-
-enum { ROW_PY = 0, ROW_ROUTER, ROW_TERMINAL };
-
-typedef struct {
-    PyObject *handle; /* bound lp.handle (owned)                      */
-    int32_t part;     /* partition (conservative mode)                */
-    int32_t index;    /* router id / node of a resident row           */
-    int32_t kind;
-} lp_t;
-
-typedef struct {
-    PyObject_HEAD
-    entry_t *heap;
-    Py_ssize_t len, cap;
-    int64_t *counters;      /* slot 0 = environment, then one per LP  */
-    lp_t *lps;
-    Py_ssize_t n_lps, cap_lps;
-    double now;
-    long origin;            /* seq slot owner; -1 outside handlers    */
-    int conservative;
-    double lookahead;
-    long n_partitions;
-    long current_partition; /* gates the push-side lookahead check    */
-    int64_t *per_part;      /* committed per partition                */
-    long long windows_executed;
-    long long max_window_events;
-    long long events_processed;
-    long long sync_ops;     /* mirror writes performed by flushes     */
-    long long flushes;      /* flushes that wrote anything            */
-    fabric_t *fab;
-} KernelObject;
 
 /* ---------------------------------------------------------------- */
 /* heap primitives (mirror heapq's sift algorithms)                  */
@@ -354,10 +168,11 @@ raise_lookahead(KernelObject *k, PyObject *what, double time, double send_time)
                  "with delay %s < lookahead %s", what, delay, la);
 }
 
-/* A fabric LP schedules a native event: Engine.schedule_fast plus the
- * engine's _push, without an Event object. */
-static int
-sched_native(KernelObject *k, double time, int32_t dst, int kind, int64_t ref)
+/* A fabric LP or a resident rank schedules a native event:
+ * Engine.schedule_fast plus the engine's _push, without an Event. */
+int
+kern_sched(KernelObject *k, double time, int32_t dst, int kind, int prio,
+           int64_t ref)
 {
     long slot = k->origin + 1;
     int64_t c = k->counters[slot];
@@ -366,7 +181,7 @@ sched_native(KernelObject *k, double time, int32_t dst, int kind, int64_t ref)
     e.time = time;
     e.seq = ((int64_t)slot << SEQ_ORIGIN_SHIFT) | c;
     e.dst = dst;
-    e.prio = 1; /* Priority.NETWORK */
+    e.prio = (int16_t)prio;
     e.kind = (int16_t)kind;
     e.u.ref = ref;
     if (k->conservative && k->current_partition >= 0
@@ -374,8 +189,8 @@ sched_native(KernelObject *k, double time, int32_t dst, int kind, int64_t ref)
         && time < k->now + k->lookahead) {
         char buf[160];
         PyOS_snprintf(buf, sizeof(buf),
-                      "Event(t=%.9f, dst=%d, kind='%s', prio=1, seq=%lld)",
-                      time, (int)dst, ev_names[kind], (long long)e.seq);
+                      "Event(t=%.9f, dst=%d, kind='%s', prio=%d, seq=%lld)",
+                      time, (int)dst, ev_names[kind], prio, (long long)e.seq);
         PyObject *what = PyUnicode_FromString(buf);
         if (what) {
             raise_lookahead(k, what, time, k->now);
@@ -389,26 +204,12 @@ sched_native(KernelObject *k, double time, int32_t dst, int kind, int64_t ref)
 /* ---------------------------------------------------------------- */
 /* fabric: small state helpers                                       */
 
-static int fabric_flush(KernelObject *k);
-
-/* The dirty list has room for every markable item (dirty_reserve), so
- * marking cannot fail. */
-static inline void
-mark(fabric_t *f, int kind, int32_t idx, int8_t *flag)
-{
-    if (!*flag) {
-        *flag = 1;
-        f->dirty[f->n_dirty].kind = kind;
-        f->dirty[f->n_dirty++].idx = idx;
-    }
-}
-
-static int
-dirty_reserve(fabric_t *f)
+int
+kern_dirty_reserve(fabric_t *f)
 {
     size_t n = (size_t)f->n_ports + f->n_routers + f->n_links + f->n_nodes
         + (size_t)f->n_apps * (f->n_routers + 2)
-        + (size_t)f->n_pols * f->n_routers + 1;
+        + (size_t)f->n_pols * f->n_routers + (size_t)f->n_extra + 1;
     dirty_t *d = PyMem_Realloc(f->dirty, n * sizeof(dirty_t));
     if (!d) {
         PyErr_NoMemory();
@@ -420,8 +221,8 @@ dirty_reserve(fabric_t *f)
 
 /* Make room for one more element of `size` bytes in a zero-filled,
  * doubling array. */
-static int
-grow(void *arr, int32_t n, int32_t *cap, size_t size)
+int
+kern_grow(void *arr, int32_t n, int32_t *cap, size_t size)
 {
     if (n < *cap)
         return 0;
@@ -516,8 +317,8 @@ adj_ports(fabric_t *f, int32_t r, int32_t next, int32_t *cnt)
     return NULL;
 }
 
-static int32_t
-app_slot(fabric_t *f, int64_t app_id)
+int32_t
+kern_app_slot(fabric_t *f, int64_t app_id)
 {
     for (int32_t i = 0; i < f->n_apps; i++)
         if (f->apps[i].app_id == app_id)
@@ -537,8 +338,8 @@ app_slot(fabric_t *f, int64_t app_id)
     memset(&f->cells[(size_t)n * nr], 0, (size_t)nr * sizeof(cell_t));
     f->apps[n].app_id = app_id;
     f->apps[n].policy = -1;
-    f->n_apps = n + 1; /* counted by dirty_reserve */
-    if (dirty_reserve(f) < 0) {
+    f->n_apps = n + 1; /* counted by kern_dirty_reserve */
+    if (kern_dirty_reserve(f) < 0) {
         f->n_apps = n;
         return -1;
     }
@@ -556,9 +357,10 @@ app_rec(KernelObject *k, fabric_t *f, int32_t rid, int32_t app, double now,
     /* A record exactly on a bin edge (rare) goes to Python, which keeps
      * the edge side channel; that, and a cell moving on to its next
      * window, first write out what is pending to keep first-touch order. */
-    if ((edge || (c->dirty && c->bin != b)) && fabric_flush(k) < 0)
+    if ((edge || (c->dirty && c->bin != b)) && kern_flush(k) < 0)
         return -1;
     if (edge) {
+        k->py_entries++;
         PyObject *r = PyObject_CallFunction(f->o[O_APP_RECORD], "iLdL", (int)rid,
                                             (long long)f->apps[app].app_id,
                                             now, (long long)size);
@@ -573,21 +375,21 @@ app_rec(KernelObject *k, fabric_t *f, int32_t rid, int32_t app, double now,
     return 0;
 }
 
-static int32_t
-msg_alloc(fabric_t *f)
+int32_t
+kern_msg_alloc(fabric_t *f)
 {
     int32_t i = f->free_msg;
     if (i >= 0) {
         f->free_msg = f->msgs[i].next;
         return i;
     }
-    if (grow(&f->msgs, f->n_msgs, &f->cap_msgs, sizeof(msg_t)) < 0)
+    if (kern_grow(&f->msgs, f->n_msgs, &f->cap_msgs, sizeof(msg_t)) < 0)
         return -1;
     return f->n_msgs++;
 }
 
-static void
-msg_release(fabric_t *f, int32_t i)
+void
+kern_msg_release(fabric_t *f, int32_t i)
 {
     msg_t *m = &f->msgs[i];
     if (m->injected && m->delivered) {
@@ -604,7 +406,7 @@ pkt_alloc(fabric_t *f)
         f->free_pkt = f->pkts[i].next_free;
         return i;
     }
-    if (grow(&f->pkts, f->n_pkts, &f->cap_pkts, sizeof(pkt_t)) < 0)
+    if (kern_grow(&f->pkts, f->n_pkts, &f->cap_pkts, sizeof(pkt_t)) < 0)
         return -1;
     return f->n_pkts++;
 }
@@ -644,6 +446,7 @@ append_tail(fabric_t *f, uint64_t *st, int32_t src, int32_t dst,
     int32_t *at = &f->tails_at[(size_t)src * f->rpg + dst % f->rpg];
     if (!*at) {
         int32_t flat[4 * PATH_MAX_HOPS];
+        f->py_calls++;
         Py_ssize_t len = take_ints(
             PyObject_CallFunction(f->o[O_LOCAL_TAILS], "ii", (int)src, (int)dst),
             flat, 4 * PATH_MAX_HOPS);
@@ -651,7 +454,7 @@ append_tail(fabric_t *f, uint64_t *st, int32_t src, int32_t dst,
             return -1;
         int32_t start = f->n_tails ? f->n_tails : 1;
         while (start + len > f->cap_tails)
-            if (grow(&f->tails, f->cap_tails, &f->cap_tails, 4) < 0)
+            if (kern_grow(&f->tails, f->cap_tails, &f->cap_tails, 4) < 0)
                 return -1;
         memcpy(f->tails + start, flat, (size_t)len * 4);
         f->n_tails = start + (int32_t)len;
@@ -776,8 +579,9 @@ select_path(KernelObject *k, fabric_t *f, int32_t app, int32_t src,
     *nonmin = 0;
     if (pol->kind == POL_PY) {
         int32_t flat[PATH_MAX_HOPS + 1];
-        if (fabric_flush(k) < 0)
+        if (kern_flush(k) < 0)
             return -1;
+        k->py_entries++;
         Py_ssize_t len = take_ints(
             PyObject_CallFunction(f->o[O_CHECKED_PATH], "Oii", pol->obj, (int)src,
                                   (int)dst_node), flat, PATH_MAX_HOPS + 1);
@@ -869,8 +673,8 @@ router_arrival(KernelObject *k, fabric_t *f, int32_t rid, int32_t pi)
     R->forwarded++;
     mark(f, D_ROUTER, rid, &R->dirty);
     p->hop += f->prow[idx].hop_inc;
-    return sched_native(k, done + f->plink[idx].extra, f->prow[idx].peer,
-                        EV_PKT, pi);
+    return kern_sched(k, done + f->plink[idx].extra, f->prow[idx].peer,
+                      EV_PKT, PRIO_NETWORK, pi);
 }
 
 /* TerminalLP._start_next */
@@ -923,13 +727,13 @@ start_next(KernelObject *k, fabric_t *f, int32_t node)
     double done = k->now + (double)size / f->terminal_bw;
     t->busy = done;
     mark(f, D_TERM, node, &t->dirty); /* again: select_path may have flushed */
-    if (sched_native(k, done + f->inject_latency, row->router_lp, EV_PKT,
-                     pi) < 0)
+    if (kern_sched(k, done + f->inject_latency, row->router_lp, EV_PKT,
+                   PRIO_NETWORK, pi) < 0)
         return -1;
     if (f->load_on)
         link_add(f, row->uplink, size);
     if (tail)
-        return sched_native(k, done, row->lp_id, EV_INJ_DONE, slot);
+        return kern_sched(k, done, row->lp_id, EV_INJ_DONE, PRIO_NETWORK, slot);
     return 0;
 }
 
@@ -942,7 +746,8 @@ nic_advance(KernelObject *k, fabric_t *f, int32_t node)
     if (start_next(k, f, node) < 0)
         return -1;
     if (t->qhead >= 0)
-        return sched_native(k, t->busy, f->trow[node].lp_id, EV_DRAIN, 0);
+        return kern_sched(k, t->busy, f->trow[node].lp_id, EV_DRAIN,
+                          PRIO_NETWORK, 0);
     return 0;
 }
 
@@ -953,7 +758,8 @@ message_seam(KernelObject *k, int32_t slot, int8_t *reached, PyObject *seam)
 {
     int64_t msg_id = k->fab->msgs[slot].msg_id;
     *reached = 1;
-    msg_release(k->fab, slot);
+    kern_msg_release(k->fab, slot);
+    k->py_entries++;
     PyObject *r = PyObject_CallFunction(seam, "Ld", (long long)msg_id, k->now);
     Py_XDECREF(r);
     return r ? 0 : -1;
@@ -964,10 +770,14 @@ dispatch_native(KernelObject *k, const entry_t *e, const lp_t *row)
 {
     fabric_t *f = k->fab;
     int32_t ref = (int32_t)e->u.ref;
+    if (e->kind >= EV_LOOPBACK)
+        return ranks_dispatch(k, e);
     if (e->kind == EV_DRAIN)
         return nic_advance(k, f, row->index);
     if (e->kind == EV_INJ_DONE)
-        return message_seam(k, ref, &f->msgs[ref].injected, f->o[O_ON_INJECTED]);
+        return f->msgs[ref].sender >= 0
+            ? ranks_injected(k, ref)
+            : message_seam(k, ref, &f->msgs[ref].injected, f->o[O_ON_INJECTED]);
     if (row->kind == ROW_ROUTER)
         return router_arrival(k, f, row->index, ref);
     /* TerminalLP._on_pkt -> fabric.on_packet_delivered */
@@ -977,6 +787,8 @@ dispatch_native(KernelObject *k, const entry_t *e, const lp_t *row)
     pkt_free(f, ref);
     if (m->remaining > 0)
         return 0;
+    if (m->sender >= 0)
+        return ranks_delivered(k, slot);
     return message_seam(k, slot, &m->delivered, f->o[O_ON_DELIVERED]);
 }
 
@@ -1008,15 +820,16 @@ dispatch_one(KernelObject *k, entry_t *e)
         if (!ok)
             return -1;
     }
-    if (fabric_flush(k) < 0)
+    if (kern_flush(k) < 0)
         return -1;
+    k->py_entries++;
     PyObject *r = PyObject_CallOneArg(row->handle, e->u.ev);
     Py_XDECREF(r);
     return r ? 0 : -1;
 }
 
 /* ---------------------------------------------------------------- */
-/* fabric_flush: write what changed into the Python mirrors          */
+/* kern_flush: write what changed into the Python mirrors            */
 
 static int
 call_method(PyObject *o, PyObject *name, PyObject *arg /* stolen, or NULL */)
@@ -1038,8 +851,8 @@ set_attr(PyObject *o, PyObject *name, PyObject *v)
 }
 
 /* cur + delta as a new reference (cur NULL: 0) */
-static PyObject *
-plus_delta(PyObject *cur, int64_t delta)
+PyObject *
+kern_plus_delta(PyObject *cur, int64_t delta)
 {
     PyObject *d = PyLong_FromLongLong((long long)delta);
     if (!d || !cur)
@@ -1056,7 +869,7 @@ dict_add(PyObject *d, PyObject *key, int64_t delta)
     int rc = -1;
     if (key && PyDict_Check(d)) {
         PyObject *cur = PyDict_GetItemWithError(d, key);
-        PyObject *sum = (cur || !PyErr_Occurred()) ? plus_delta(cur, delta)
+        PyObject *sum = (cur || !PyErr_Occurred()) ? kern_plus_delta(cur, delta)
                                                    : NULL;
         if (sum)
             rc = PyDict_SetItem(d, key, sum);
@@ -1164,8 +977,9 @@ flush_nic(fabric_t *f, int32_t node)
  * zeroed as they are applied, deques are synced against absolute
  * counts), so a flush that failed half way can simply run again. */
 static int
-flush_one(fabric_t *f, dirty_t d)
+flush_one(KernelObject *k, dirty_t d)
 {
+    fabric_t *f = k->fab;
     int32_t i = d.idx, nr = f->n_routers;
     switch (d.kind) {
     case D_PORT:
@@ -1182,7 +996,7 @@ flush_one(fabric_t *f, dirty_t d)
     case D_LINK: {
         PyObject *cur = PyList_GetItem(f->o[O_LINK_BYTES], i);
         if (!cur || list_set(f->o[O_LINK_BYTES], i,
-                             plus_delta(cur, f->link_delta[i])) < 0)
+                             kern_plus_delta(cur, f->link_delta[i])) < 0)
             return -1;
         f->link_delta[i] = 0;
         f->link_dirty[i] = 0;
@@ -1226,6 +1040,9 @@ flush_one(fabric_t *f, dirty_t d)
         t->dirty = 0;
         return 0;
     }
+    case D_RANK:
+    case D_MPI:
+        return ranks_flush_one(k, d);
     default: { /* D_STREAM */
         policy_t *pol = &f->pols[i / nr];
         int32_t r = i % nr;
@@ -1243,15 +1060,15 @@ flush_one(fabric_t *f, dirty_t d)
     }
 }
 
-static int
-fabric_flush(KernelObject *k)
+int
+kern_flush(KernelObject *k)
 {
     fabric_t *f = k->fab;
     if (!f || !f->n_dirty)
         return 0;
     k->flushes++;
     for (Py_ssize_t i = 0; i < f->n_dirty; i++) {
-        if (flush_one(f, f->dirty[i]) < 0) {
+        if (flush_one(k, f->dirty[i]) < 0) {
             /* keep what is still to do, this item included */
             f->n_dirty -= i;
             memmove(f->dirty, f->dirty + i, (size_t)f->n_dirty * sizeof(dirty_t));
@@ -1276,6 +1093,8 @@ fabric_free(fabric_t *f)
     for (int32_t i = 0; i < f->n_pkts; i++)
         if (f->pkts[i].plen > PATH_INLINE)
             PyMem_Free(f->pkts[i].ext);
+    for (int32_t i = 0; i < f->n_msgs; i++)
+        Py_CLEAR(f->msgs[i].sobj);
     for (int32_t i = 0; i < f->n_pols; i++) {
         PyMem_Free(f->pols[i].state);
         PyMem_Free(f->pols[i].sdirty);
@@ -1386,7 +1205,7 @@ Kernel_adopt(KernelObject *self, PyObject *args)
     for (int i = 0; i < N_BUF; i++)
         if (!(*(void **)((char *)f + copied_to[i]) = dup_buffer(&b[i])))
             goto fail;
-    if (dirty_reserve(f) < 0)
+    if (kern_dirty_reserve(f) < 0)
         goto fail;
     for (Py_ssize_t n = 0; n < nn; n++)
         f->terms[n].qhead = f->terms[n].qtail = -1;
@@ -1424,6 +1243,31 @@ need_fabric(KernelObject *self)
     return self->fab;
 }
 
+/* Queue the message in `slot`, filled in by the caller, on node src's
+ * NIC: TerminalLP.inject_message. */
+int
+kern_inject(KernelObject *k, int32_t slot, int32_t src)
+{
+    fabric_t *f = k->fab;
+    term_t *t = &f->terms[src];
+    int64_t size = f->msgs[slot].size;
+    int drain_pending = t->qhead >= 0;
+    if (drain_pending)
+        f->msgs[t->qtail].next = slot;
+    else
+        t->qhead = slot;
+    t->qtail = slot;
+    /* a zero-byte message is one empty packet */
+    t->tail += size > 0 ? 1 + (size - 1) / f->packet_bytes : 1;
+    mark(f, D_TERM, src, &t->dirty);
+    if (drain_pending)
+        return 0;
+    if (k->now >= t->busy)
+        return nic_advance(k, f, src);
+    return kern_sched(k, t->busy, f->trow[src].lp_id, EV_DRAIN, PRIO_NETWORK,
+                      0);
+}
+
 /* inject(msg_id, app_id, src_node, dst_node, size):
  * TerminalLP.inject_message, from NetworkFabric.send_message. */
 static PyObject *
@@ -1440,35 +1284,18 @@ Kernel_inject(KernelObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "inject: node or size out of range");
         return NULL;
     }
-    int32_t app = app_slot(f, app_id), slot = app < 0 ? -1 : msg_alloc(f);
-    term_t *t = &f->terms[src];
+    int32_t app = kern_app_slot(f, app_id), slot = app < 0 ? -1 : kern_msg_alloc(f);
     if (slot < 0)
         return NULL;
     msg_t *m = &f->msgs[slot];
     m->msg_id = msg_id;
-    m->remaining = m->left = size;
+    m->size = m->remaining = m->left = size;
     m->app = app;
     m->dst_node = (int32_t)dst;
     m->injected = m->delivered = 0;
     m->next = -1;
-    int drain_pending = t->qhead >= 0;
-    if (drain_pending)
-        f->msgs[t->qtail].next = slot;
-    else
-        t->qhead = slot;
-    t->qtail = slot;
-    /* a zero-byte message is one empty packet */
-    t->tail += size > 0 ? 1 + (size - 1) / f->packet_bytes : 1;
-    mark(f, D_TERM, (int32_t)src, &t->dirty);
-
-    int rc = 0;
-    if (!drain_pending) {
-        if (self->now >= t->busy)
-            rc = nic_advance(self, f, (int32_t)src);
-        else
-            rc = sched_native(self, t->busy, f->trow[src].lp_id, EV_DRAIN, 0);
-    }
-    if (rc < 0)
+    m->sender = -1; /* Python sent it: its seams call Python */
+    if (kern_inject(self, slot, (int32_t)src) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1476,7 +1303,7 @@ Kernel_inject(KernelObject *self, PyObject *args)
 static PyObject *
 Kernel_flush(KernelObject *self, PyObject *Py_UNUSED(ignored))
 {
-    if (fabric_flush(self) < 0)
+    if (kern_flush(self) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1526,12 +1353,12 @@ Kernel_set_policy(KernelObject *self, PyObject *args)
         goto done;
     }
     /* the policy being replaced hands its stream states back first */
-    if (fabric_flush(self) < 0)
+    if (kern_flush(self) < 0)
         goto done;
     if (app_obj != Py_None) {
         long long app_id = PyLong_AsLongLong(app_obj);
         if ((app_id == -1 && PyErr_Occurred())
-            || (app = app_slot(f, app_id)) < 0)
+            || (app = kern_app_slot(f, app_id)) < 0)
             goto done;
     }
     policy_t *pol = PyMem_Realloc(f->pols,
@@ -1550,8 +1377,8 @@ Kernel_set_policy(KernelObject *self, PyObject *args)
         pol->state = dup_buffer(&states);
         pol->sdirty = PyMem_Calloc((size_t)nr, 1);
     }
-    f->n_pols++; /* counted by dirty_reserve */
-    if ((native && (!pol->state || !pol->sdirty)) || dirty_reserve(f) < 0) {
+    f->n_pols++; /* counted by kern_dirty_reserve */
+    if ((native && (!pol->state || !pol->sdirty)) || kern_dirty_reserve(f) < 0) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         PyMem_Free(pol->state);
@@ -1658,7 +1485,7 @@ Kernel_run(KernelObject *self, PyObject *args)
      * especially) when a handler raised. */
     PyObject *et, *ev, *tb;
     PyErr_Fetch(&et, &ev, &tb);
-    int rc = fabric_flush(self);
+    int rc = kern_flush(self);
     if (et) {
         PyErr_Clear();
         PyErr_Restore(et, ev, tb);
@@ -1834,8 +1661,10 @@ Kernel_traverse(KernelObject *self, visitproc visit, void *arg)
             Py_VISIT(self->fab->pols[i].obj);
             Py_VISIT(self->fab->pols[i].streams);
         }
+        for (int32_t i = 0; i < self->fab->n_msgs; i++)
+            Py_VISIT(self->fab->msgs[i].sobj);
     }
-    return 0;
+    return ranks_traverse(self, visit, arg);
 }
 
 static int
@@ -1847,6 +1676,7 @@ Kernel_clear(KernelObject *self)
     for (Py_ssize_t i = 0; i < self->n_lps; i++)
         Py_CLEAR(self->lps[i].handle);
     self->n_lps = 0;
+    ranks_free(self);
     fabric_free(self->fab);
     self->fab = NULL;
     return 0;
@@ -1880,6 +1710,14 @@ static PyMethodDef Kernel_methods[] = {
      "inject(msg_id, app_id, src_node, dst_node, size)"},
     {"flush", (PyCFunction)Kernel_flush, METH_NOARGS,
      "write the resident fabric's changed state into its Python mirrors"},
+    {"adopt_ranks", (PyCFunction)Kernel_adopt_ranks, METH_VARARGS,
+     "adopt_ranks(types, fabric, msg_seq, finish, terminal_latency): run "
+     "SimMPI's ranks here (see accel/dispatch.py)"},
+    {"add_job", (PyCFunction)Kernel_add_job, METH_VARARGS,
+     "add_job(app_id, name, [(rank_state, node, driver_lp, stats), ...]) "
+     "-> the slot of its rank 0"},
+    {"begin_rank", (PyCFunction)Kernel_begin_rank, METH_VARARGS,
+     "begin_rank(slot, generator): run a rank until it first blocks"},
     {"set_port_bw", (PyCFunction)Kernel_set_port_bw, METH_VARARGS,
      "set_port_bw(router, port, bw)"},
     {"set_policy", (PyCFunction)Kernel_set_policy, METH_VARARGS,
@@ -1905,7 +1743,24 @@ static PyMemberDef Kernel_members[] = {
      "mirror writes performed by flushes so far"},
     {"flushes", T_LONGLONG, offsetof(KernelObject, flushes), READONLY,
      "flushes so far that found something to write"},
+    {"mpi_in_flight", T_LONGLONG, offsetof(KernelObject, mpi_in_flight),
+     READONLY, "messages resident ranks sent that are not delivered yet"},
     {NULL, 0, 0, 0, NULL},
+};
+
+static PyObject *
+Kernel_get_py_entries(KernelObject *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromLongLong(self->py_entries
+                               + (self->fab ? self->fab->py_calls : 0));
+}
+
+static PyGetSetDef Kernel_getset[] = {
+    {"py_entries", (getter)Kernel_get_py_entries, NULL,
+     "calls into Python so far: generator resumes, rank finishes, "
+     "per-message seams, generic handlers and policy/table callbacks",
+     NULL},
+    {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyTypeObject KernelType = {
@@ -1913,7 +1768,7 @@ static PyTypeObject KernelType = {
     .tp_name = "_union_accel.Kernel",
     .tp_basicsize = sizeof(KernelObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled event heap, commit loop and resident fabric",
+    .tp_doc = "Compiled event heap, commit loop, resident fabric and ranks",
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)Kernel_init,
     .tp_dealloc = (destructor)Kernel_dealloc,
@@ -1921,6 +1776,7 @@ static PyTypeObject KernelType = {
     .tp_clear = (inquiry)Kernel_clear,
     .tp_methods = Kernel_methods,
     .tp_members = Kernel_members,
+    .tp_getset = Kernel_getset,
 };
 
 /* splitmix(seed, stream_id, n): the first n draws of the kernel's
@@ -1976,6 +1832,8 @@ PyInit__union_accel(void)
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!(*names[i].var = PyUnicode_InternFromString(names[i].s)))
             return NULL;
+    if (ranks_init() < 0)
+        return NULL;
     PyObject *collections = PyImport_ImportModule("collections");
     if (!collections)
         return NULL;

@@ -1,11 +1,15 @@
 """Lazy compilation and loading of the ``_union_accel`` C kernel.
 
 There is no build step at install time and no build-system dependency:
-the kernel source ships as package data (``_kernel.c``) and is compiled
-on first use with whatever C compiler the host has, into a per-user
-cache keyed by the source hash (so editing the source, switching
-interpreters or upgrading the package each get a fresh build, and
-concurrent processes race benignly via an atomic rename).
+the kernel source ships as package data -- two translation units,
+``_kernel.c`` (heap, commit loops, resident fabric) and ``_ranks.c``
+(resident ranks), and the header they share, ``_kernel.h`` -- and is
+compiled on first use with whatever C compiler the host has: both units
+at once, in two compiler processes, then linked into one module.  The
+result goes into a per-user cache keyed by the hash of every source (so
+editing one, switching interpreters or upgrading the package each get a
+fresh build, and concurrent processes race benignly via an atomic
+rename).
 
 Degradation is a feature, not an error: *anything* that prevents a
 native kernel -- no compiler, a failing compile, a cached artifact that
@@ -55,12 +59,15 @@ __all__ = ["AccelUnavailable", "load_kernel", "kernel_status", "build_into"]
 log = logging.getLogger(__name__)
 
 MODULE_NAME = "_union_accel"
-_SOURCE = Path(__file__).with_name("_kernel.c")
+_HERE = Path(__file__).parent
+#: The translation units, compiled concurrently, and the header they share.
+_UNITS = (_HERE / "_kernel.c", _HERE / "_ranks.c")
+_SOURCES = (*_UNITS, _HERE / "_kernel.h")
 
 #: The kernel's ``ABI_VERSION``: the layout of the adoption row
 #: (:mod:`repro.accel.dispatch`) and the ``Kernel`` method signatures
 #: :mod:`repro.accel.engines` calls.  Bump both sides together.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 #: Memoized load outcome: ``(module, "")`` or ``(None, reason)``.
 #: ``UNION_ACCEL_DISABLE`` is consulted *before* the memo so tests can
@@ -93,10 +100,11 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _build_key(source: bytes) -> str:
-    """Cache key: source bytes + interpreter ABI, nothing else."""
+def _build_key(sources: list[bytes]) -> str:
+    """Cache key: every source's bytes + interpreter ABI, nothing else."""
     h = hashlib.sha256()
-    h.update(source)
+    for source in sources:
+        h.update(hashlib.sha256(source).digest())
     h.update(sys.implementation.cache_tag.encode())
     return h.hexdigest()[:16]
 
@@ -106,31 +114,55 @@ def _artifact_path(key: str) -> Path:
     return _cache_dir() / f"{MODULE_NAME}.{key}{suffix}"
 
 
+def _run(procs: list[subprocess.Popen]) -> str:
+    """Wait for every compiler process; the first failure's output, or ""."""
+    failure = ""
+    for proc in procs:
+        try:
+            out, _ = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out, _ = proc.communicate()
+            failure = failure or "timed out after 120 s"
+            continue
+        if proc.returncode != 0 and not failure:
+            failure = f"exit {proc.returncode}: {(out or '').strip()[:400]}"
+    return failure
+
+
 def _compile(cc: str, out: Path, extra_flags: tuple[str, ...] = ()) -> None:
-    """Compile the kernel source to ``out`` (atomic via rename).
+    """Compile the units to objects concurrently, then link them into
+    ``out`` (atomic via rename).
 
     No ``-ffast-math`` and no reassociation flags: the kernel's floats
     must round exactly as CPython's, or bit-identical fallback parity
     breaks.  ``extra_flags`` is for instrumented builds (the CI
-    sanitizer drill, :func:`build_into`).
+    sanitizer drill, :func:`build_into`); they reach both units and the
+    link.
     """
     out.parent.mkdir(parents=True, exist_ok=True)
     include = sysconfig.get_paths()["include"]
-    fd, tmp = tempfile.mkstemp(suffix=out.suffix, dir=out.parent)
-    os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
-           str(_SOURCE), "-o", tmp]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        os.unlink(tmp)
-        raise AccelUnavailable(f"compiler invocation failed: {exc}") from exc
-    if proc.returncode != 0:
-        os.unlink(tmp)
-        detail = (proc.stderr or proc.stdout or "").strip()
-        raise AccelUnavailable(
-            f"compile failed (exit {proc.returncode}): {detail[:400]}")
-    os.replace(tmp, out)
+    with tempfile.TemporaryDirectory(dir=out.parent) as tmpdir:
+        objs = [str(Path(tmpdir) / f"{unit.stem}.o") for unit in _UNITS]
+        tmp = str(Path(tmpdir) / out.name)
+        steps = (
+            [[cc, "-O2", "-fPIC", "-fvisibility=hidden", *extra_flags,
+              f"-I{include}", "-c", str(unit), "-o", obj]
+             for unit, obj in zip(_UNITS, objs)],
+            [[cc, "-shared", *extra_flags, *objs, "-o", tmp]],
+        )
+        for step in steps:
+            try:
+                procs = [subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                                          stderr=subprocess.STDOUT, text=True)
+                         for cmd in step]
+            except OSError as exc:
+                raise AccelUnavailable(
+                    f"compiler invocation failed: {exc}") from exc
+            failure = _run(procs)
+            if failure:
+                raise AccelUnavailable(f"compile failed ({failure})")
+        os.replace(tmp, out)
 
 
 def _load(path: Path):
@@ -160,9 +192,10 @@ def _source_artifact() -> Path:
     if os.name != "posix":
         raise AccelUnavailable(
             f"compiled kernel is only built on POSIX hosts (os.name={os.name!r})")
-    if not _SOURCE.is_file():
-        raise AccelUnavailable(f"kernel source missing: {_SOURCE}")
-    return _artifact_path(_build_key(_SOURCE.read_bytes()))
+    missing = [str(src) for src in _SOURCES if not src.is_file()]
+    if missing:
+        raise AccelUnavailable(f"kernel source missing: {', '.join(missing)}")
+    return _artifact_path(_build_key([src.read_bytes() for src in _SOURCES]))
 
 
 def build_into(extra_flags: tuple[str, ...]) -> Path:

@@ -22,6 +22,12 @@ LPs run exactly as on any engine -- and :func:`adopt` returns the
 reason, which the engine reports as ``fabric: "python"`` /
 ``fabric_reason``.  Nothing falls back silently.
 
+The ranks of a :class:`~repro.mpi.engine.SimMPI` on a resident fabric
+are adopted the same way, when the runtime starts (:func:`adopt_ranks`,
+through the engine's ``adopt_ranks``): the kernel then runs their
+matching, requests, waits, compute wakeups and collective schedules
+(``_ranks.c``), and the engine reports ``ranks`` / ``ranks_reason``.
+
 The adoption row, in ``kernel.adopt`` argument order.  It is derived
 from the topology's flat port table
 (:attr:`~repro.network.topology.PortGraph.port_rows`) with whole-array
@@ -76,6 +82,8 @@ from itertools import chain
 
 import numpy as np
 
+from repro.mpi import types
+from repro.mpi.engine import LATENCY_HISTOGRAM_FAMILY, SimMPI
 from repro.network.config import LinkClass
 from repro.network.router import RouterLP
 from repro.network.routing import AdaptiveRouting, MinimalRouting
@@ -290,6 +298,38 @@ def _fabric_row(fabric) -> tuple:
         local_tails, checked_path,
     )
     return scalars, rrows, prows, plinks, trows, adj, cand, gw, gp, objs
+
+
+def adopt_ranks(kernel, mpi, hosting: bool) -> str:
+    """Make ``mpi``'s ranks resident in ``kernel`` (``mpi._ranks``: its
+    job starts and rank starts call into it); returns ``""`` on success,
+    else why they stay on SimMPI's Python executor.  ``hosting``: the
+    kernel already runs another SimMPI's ranks."""
+    reason = _rank_refusal(kernel, mpi, hosting)
+    if reason:
+        return reason
+    kernel.adopt_ranks(
+        (types.Isend, types.Irecv, types.Wait, types.Waitall, types.Compute,
+         types.Sleep, types.Collective, types.Request, types.Message),
+        mpi.fabric, mpi.fabric._msg_seq, mpi._finish_rank,
+        float(mpi.fabric.config.terminal_latency))
+    mpi._ranks = kernel
+    return ""
+
+
+def _rank_refusal(kernel, mpi, hosting: bool) -> str:
+    if hosting:
+        return "the engine already hosts resident ranks"
+    if type(mpi) is not SimMPI:
+        return f"the runtime is a SimMPI subclass ({type(mpi).__name__})"
+    if mpi.fabric._resident is not kernel:
+        return "the fabric is not resident"
+    if mpi.op_handlers:
+        names = ", ".join(sorted(t.__name__ for t in mpi.op_handlers))
+        return f"extension op handlers are registered ({names})"
+    if mpi._lat_rec is not None:
+        return f"{LATENCY_HISTOGRAM_FAMILY} histograms are enabled"
+    return ""
 
 
 def set_policy(kernel, fabric, app_id: int | None, policy) -> None:

@@ -14,7 +14,10 @@ raises.  A :class:`~repro.network.fabric.NetworkFabric` built on it is
 offered through :meth:`KernelEngine.adopt_fabric`; an adopted fabric is
 *resident* in the kernel (:mod:`repro.accel.dispatch`) and the engine
 says which it is: ``fabric`` (``"resident"`` or ``"python"``) and
-``fabric_reason``, next to ``backend`` / ``backend_reason``.
+``fabric_reason``, next to ``backend`` / ``backend_reason``.  The ranks
+of a SimMPI on that fabric are offered through
+:meth:`KernelEngine.adopt_ranks` when it starts: ``ranks`` /
+``ranks_reason`` likewise.
 
 The ``accel-*`` presets (:mod:`repro.registry.engines`) pick
 compiled-else-fallback and never raise for a missing compiler.  The
@@ -54,6 +57,7 @@ class KernelEngine(Engine):
 
     backend = "compiled"
     fabric_reason = "no NetworkFabric was built on this engine"
+    ranks_reason = "no SimMPI was started on this engine"
 
     def __init__(
         self,
@@ -92,6 +96,14 @@ class KernelEngine(Engine):
                                 self.fabric == "resident")
         self.fabric = "python" if reason else "resident"
         self.fabric_reason = reason
+
+    def adopt_ranks(self, mpi: Any) -> None:
+        """Run ``mpi``'s ranks in the kernel if possible; otherwise
+        record why SimMPI's Python executor runs them."""
+        reason = dispatch.adopt_ranks(self._kernel, mpi,
+                                      self.ranks == "resident")
+        self.ranks = "python" if reason else "resident"
+        self.ranks_reason = reason
 
     def set_fabric_policy(self, fabric: Any, app_id: int | None, policy: Any) -> None:
         """The resident ``fabric`` changed the policy routing ``app_id``'s

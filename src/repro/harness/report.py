@@ -80,4 +80,7 @@ def engine_line(e: Mapping[str, Any]) -> str:
             line += f", fabric {e['fabric']}"
             if e.get("fabric_reason"):
                 line += f" ({e['fabric_reason']})"
+            line += f", ranks {e['ranks']}"
+            if e.get("ranks_reason"):
+                line += f" ({e['ranks_reason']})"
     return line

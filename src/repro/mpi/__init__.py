@@ -19,6 +19,7 @@ from repro.mpi.types import (
     Waitall,
     Compute,
     Sleep,
+    Collective,
 )
 from repro.mpi.engine import SimMPI, JobSpec, JobResult, RankStats
 from repro.mpi.process import RankCtx
@@ -34,6 +35,7 @@ __all__ = [
     "Waitall",
     "Compute",
     "Sleep",
+    "Collective",
     "SimMPI",
     "JobSpec",
     "JobResult",

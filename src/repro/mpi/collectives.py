@@ -19,17 +19,46 @@ Algorithms (mirroring MPICH/Horovod choices):
 * gather/scatter -- linear (root-sequential), adequate for the small
   fan-ins the workloads use.
 
-All generators must be driven with ``yield from`` inside a rank program.
-Tag isolation: each collective invocation draws a fresh sequence number
-from the ctx; ranks call collectives in the same program order (SPMD),
-so sequence numbers agree across ranks.
+Each algorithm is a generator over a ctx.  Tag isolation: each
+collective invocation draws a fresh sequence number from the ctx; ranks
+call collectives in the same program order (SPMD), so sequence numbers
+agree across ranks.
+
+Schedules
+---------
+The algorithms never read a result, a message or the clock: what a rank
+sends, receives and waits for depends only on ``(algorithm, size, rank,
+args)``.  So a rank does not drive the generator during the simulation.
+:func:`schedule` drives it once, against a recording ctx, into a flat
+:class:`Schedule` of point-to-point steps, and caches it (LRU, bounded
+by total words).  ``RankCtx.allreduce`` and the other collective calls
+then yield one :class:`~repro.mpi.types.Collective` op, which both
+executors run step by step: the Python ``SimMPI`` and the compiled
+kernel's resident ranks (``_ranks.c``).  They issue the identical
+operations in the identical order, at the same simulated instants, as
+the generator would.  Recorded tags are relative to the call's
+sequence number (``_tag(seq, 0)``), so one schedule serves every call
+with the same arguments.  A schedule longer than :data:`MAX_SCHEDULE_WORDS`
+is not recorded: that call drives its generator as before, which keeps
+memory flat for O(n) algorithms at large n.
+
+A schedule is an ``array('q')`` of words, step after step:
+
+``ISEND peer nbytes tag`` / ``IRECV peer tag``
+    post request number k (in order of issue, from 0);
+``WAIT q`` / ``WAITALL n q1 .. qn``
+    block until those requests completed.
+
+Every request is waited for, and no request twice in one ``WAITALL``.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.mpi.types import Wait, Waitall
+from repro.mpi.types import Irecv, Isend, Wait, Waitall
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.process import RankCtx
@@ -42,6 +71,137 @@ def _tag(seq: int, step: int) -> int:
     if step >= _MAX_STEPS:  # pragma: no cover - defensive
         raise ValueError(f"collective exceeded {_MAX_STEPS} steps")
     return _COLL_TAG_BASE + seq * _MAX_STEPS + step
+
+
+# -- schedules ---------------------------------------------------------------------
+
+#: Step codes (``_ranks.c`` reads the same numbers).
+ISEND, IRECV, WAIT, WAITALL = range(4)
+
+#: Longest schedule recorded, in words (a ring allreduce over ~90 ranks).
+MAX_SCHEDULE_WORDS = 1 << 11
+#: Words the schedule cache holds at most.
+CACHE_WORDS = 1 << 20
+
+
+class Schedule:
+    """One rank's recorded collective: ``code`` (see the module
+    docstring), the requests it issues (``n_reqs``) and how many
+    sequence numbers it draws (``seqs``)."""
+
+    __slots__ = ("code", "n_reqs", "seqs")
+
+    def __init__(self, code: array, n_reqs: int, seqs: int) -> None:
+        self.code = code
+        self.n_reqs = n_reqs
+        self.seqs = seqs
+
+
+class _Recorder:
+    """The ctx a collective generator is recorded against: identity and
+    the raw channel, nothing that could make the steps depend on the run."""
+
+    __slots__ = ("size", "rank", "seqs")
+
+    def __init__(self, size: int, rank: int) -> None:
+        self.size = size
+        self.rank = rank
+        self.seqs = 0
+
+    def _next_coll_seq(self) -> int:
+        self.seqs += 1
+        return self.seqs - 1
+
+    def _isend_raw(self, dst: int, nbytes: int, tag: int) -> Isend:
+        return Isend(dst, nbytes, tag)
+
+    def _irecv_raw(self, src: int, tag: int) -> Irecv:
+        return Irecv(src, None, tag)
+
+
+def record(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
+    """Drive ``algorithm(ctx, *args)`` for ``rank`` of ``size`` into a
+    :class:`Schedule`; ``None`` when it outgrows
+    :data:`MAX_SCHEDULE_WORDS`."""
+    ctx = _Recorder(size, rank)
+    gen = algorithm(ctx, *args)
+    code = array("q")
+    issued = 0
+    waited: set[int] = set()
+    tags: list[int] = []
+    value = None
+    while True:
+        try:
+            op = gen.send(value)
+        except StopIteration:
+            break
+        value = None
+        kind = type(op)
+        if kind is Isend:
+            words = (ISEND, op.dst, op.nbytes, op.tag)
+            value, issued = issued, issued + 1
+        elif kind is Irecv:
+            words = (IRECV, op.src, op.tag)
+            value, issued = issued, issued + 1
+        elif kind is Wait:
+            words = (WAIT, op.request)
+            waited.add(op.request)
+        elif kind is Waitall:
+            reqs = op.requests
+            if len(set(reqs)) != len(reqs):
+                raise ValueError(f"{algorithm.__name__} waits for a request twice")
+            words = (WAITALL, len(reqs), *reqs)
+            waited.update(reqs)
+        else:
+            raise TypeError(f"collective {algorithm.__name__} yielded {op!r}")
+        try:
+            code.extend(words)
+        except TypeError:  # a word that is not an int (a float size)
+            words = ()
+        if not words or len(code) > MAX_SCHEDULE_WORDS:
+            gen.close()
+            return None
+        if kind is Isend or kind is Irecv:
+            tags.append(len(code) - 1)
+    if waited != set(range(issued)):
+        raise ValueError(f"{algorithm.__name__} leaves a request unwaited "
+                         "or waits for one it never issued")
+    if ctx.seqs:
+        # Tags are stored relative to the call's first sequence number.
+        lo, hi = _tag(0, 0), _tag(ctx.seqs, 0)
+        for at in tags:
+            if not lo <= code[at] < hi:
+                raise ValueError(f"{algorithm.__name__} uses tag {code[at]} "
+                                 "outside its sequence numbers")
+            code[at] -= lo
+    return Schedule(code, issued, ctx.seqs)
+
+
+_cache: OrderedDict = OrderedDict()
+_cache_words = 0
+_UNRECORDED = Schedule(array("q"), 0, 0)  # cached stand-in for None
+
+
+def schedule(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
+    """The (cached) :func:`record` of one collective call."""
+    global _cache_words
+    key = (algorithm, size, rank, args)
+    sched = _cache.get(key)
+    if sched is not None:
+        _cache.move_to_end(key)
+    else:
+        sched = record(algorithm, size, rank, args) or _UNRECORDED
+        _cache[key] = sched
+        _cache_words += len(sched.code) + 1
+        while _cache_words > CACHE_WORDS:
+            _cache_words -= len(_cache.popitem(last=False)[1].code) + 1
+    return None if sched is _UNRECORDED else sched
+
+
+def tag_base(seq: int, sched: Schedule) -> int:
+    """What a call drawing sequence numbers from ``seq`` adds to the
+    recorded tags of ``sched``."""
+    return _tag(seq, 0) if sched.seqs else 0
 
 
 def barrier(ctx: "RankCtx"):

@@ -20,6 +20,17 @@ Metric definitions (Section IV-D):
   MPI operations (waits, blocking send/recv, collectives), excluding
   Compute/Sleep delays.
 
+Two executors run the ranks and commit the identical events: this
+module's Python one, and the compiled kernel's *resident ranks*
+(``_ranks.c``), which the engine takes over in :meth:`SimMPI.start`
+through its ``adopt_ranks`` hook (``docs/engines.md``, "Resident
+ranks").  With resident ranks the kernel owns matching, requests,
+waits and compute wakeups, and Python is entered to resume a generator,
+at rank start and finish, and for generic LPs; ``RankStats`` is synced
+where Python can read it (:meth:`SimMPI.results`,
+:meth:`SimMPI.publish_job_metrics`, before the ``job_end_callback`` and
+before a rank's own resume, plus ``fabric.sync()``).
+
 Per-job telemetry: the runtime shares the fabric's
 :class:`~repro.telemetry.Telemetry` session and publishes each job's
 metrics under ``mpi.job.<name>.*`` (see :func:`job_key`) -- lifecycle
@@ -36,9 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
+from repro.mpi.collectives import IRECV, ISEND, WAIT
 from repro.mpi.types import (
     ANY_SOURCE,
     ANY_TAG,
+    Collective,
     Compute,
     Irecv,
     Isend,
@@ -129,6 +142,10 @@ class _RankState:
         "block_start",
         "finished",
         "epoch_start",
+        "coll",
+        "coll_pc",
+        "coll_reqs",
+        "slot",
     )
 
     def __init__(self, job: "_Job", rank: int, node: int) -> None:
@@ -148,6 +165,13 @@ class _RankState:
         self.block_start = 0.0
         self.finished = False
         self.epoch_start = 0.0  # set by "resets its counters"
+        #: The Collective being executed, its next code word and the
+        #: requests it issued so far (Python executor).
+        self.coll: Collective | None = None
+        self.coll_pc = 0
+        self.coll_reqs: list[Request] = []
+        #: Index of the rank in the kernel's resident ranks (-1: none).
+        self.slot = -1
 
 
 @dataclass
@@ -331,10 +355,21 @@ class SimMPI:
             Waitall: self._op_waitall,
             Compute: self._op_compute,
             Sleep: self._op_compute,
+            Collective: self._op_collective,
         }
+        #: The kernel running the ranks when the engine adopted them in
+        #: start() (``None``: this executor runs them).
+        self._ranks = None
 
     def register_op_handler(self, op_type: type, handler: Callable) -> None:
-        """Let a subsystem (e.g. storage) handle a new yieldable op type."""
+        """Let a subsystem (e.g. storage) handle a new yieldable op type.
+
+        Register before :meth:`start`: resident ranks (the engine takes
+        them over there unless a handler is registered) cannot call it.
+        """
+        if self._ranks is not None:
+            raise RuntimeError("the ranks are resident in the compiled kernel; "
+                               "register op handlers before start()")
         if op_type in self.op_handlers:
             raise ValueError(f"handler for {op_type.__name__} already registered")
         self.op_handlers[op_type] = handler
@@ -392,6 +427,7 @@ class SimMPI:
             raise RuntimeError("no jobs added")
         if not self._started:
             self._started = True
+            self.engine.adopt_ranks(self)
             self.engine.schedule_at(0.0, self._driver.lp_id, "start", None, Priority.MPI)
 
     def step(self, until: float = float("inf")) -> float:
@@ -423,6 +459,7 @@ class SimMPI:
         of re-deriving rows.  Idempotent; called automatically at the
         end of :meth:`run`.
         """
+        self.fabric.sync()
         t = self.telemetry
         for j in self.jobs:
             r = self._result_of(j)
@@ -491,12 +528,21 @@ class SimMPI:
         sched = self.engine.schedule_control
         for rs in job.ranks:
             rs.driver_lp = self._driver_lp_for_node(rs.node)
+        if self._ranks is not None:
+            first = self._ranks.add_job(job.app_id, job.spec.name, [
+                (rs, rs.node, rs.driver_lp, rs.stats) for rs in job.ranks])
+            for rs in job.ranks:
+                rs.slot = first + rs.rank
+        for rs in job.ranks:
             sched(now, rs.driver_lp, "rank_start", rs, Priority.MPI)
 
     def _begin_rank(self, rs: _RankState) -> None:
         ctx = self._ctx_cls(self, rs)
         rs.gen = rs.job.spec.program(ctx)
-        self._advance(rs, None)
+        if self._ranks is not None:
+            self._ranks.begin_rank(rs.slot, rs.gen)
+        else:
+            self._advance(rs, None)
 
     def _launch_submission(self, item) -> None:
         spec, on_launch = item
@@ -524,30 +570,40 @@ class SimMPI:
         )
 
     def results(self) -> list[JobResult]:
+        self.fabric.sync()
         return [self._result_of(j) for j in self.jobs]
 
     # -- generator driving ------------------------------------------------------------
     def _advance(self, rs: _RankState, value: Any) -> None:
+        if rs.coll is not None:
+            value = self._run_collective(rs)
+            if value is _BLOCKED:
+                return
         gen = rs.gen
         assert gen is not None
         while True:
             try:
                 op = gen.send(value)
             except StopIteration:
-                rs.finished = True
-                rs.stats.finished_at = self.engine.now
-                rs.job.done_ranks += 1
-                if rs.job.finished:
-                    self.telemetry.gauge(
-                        job_key(rs.job.spec.name, "finished_at"), unit="seconds",
-                        doc="simulated time the job's last rank finished",
-                    ).set(self.engine.now)
-                    if self.job_end_callback is not None:
-                        self.job_end_callback(self._result_of(rs.job))
+                self._finish_rank(rs)
                 return
             value = self._dispatch(rs, op)
             if value is _BLOCKED:
                 return
+
+    def _finish_rank(self, rs: _RankState) -> None:
+        """The rank's generator returned (resident ranks call in here)."""
+        rs.finished = True
+        rs.stats.finished_at = self.engine.now
+        rs.job.done_ranks += 1
+        if rs.job.finished:
+            self.telemetry.gauge(
+                job_key(rs.job.spec.name, "finished_at"), unit="seconds",
+                doc="simulated time the job's last rank finished",
+            ).set(self.engine.now)
+            if self.job_end_callback is not None:
+                self.fabric.sync()
+                self.job_end_callback(self._result_of(rs.job))
 
     def _dispatch(self, rs: _RankState, op: Any) -> Any:
         # Exact-type method table first (the hot path for the canonical
@@ -566,29 +622,41 @@ class SimMPI:
             return self._op_waitall(rs, op)
         if isinstance(op, Compute):  # Sleep subclasses Compute
             return self._op_compute(rs, op)
+        if isinstance(op, Collective):
+            return self._op_collective(rs, op)
         handler = self.op_handlers.get(type(op))
         if handler is not None:
             return handler(self, rs, op)
         raise TypeError(f"rank program yielded unsupported object {op!r}")
 
     def _op_isend(self, rs: _RankState, op: Isend) -> Request:
+        return self._isend(rs, op.dst, op.nbytes, op.tag)
+
+    def _isend(self, rs: _RankState, dst: int, nbytes: int, tag: int) -> Request:
         now = self.engine.now
-        if not 0 <= op.dst < len(rs.job.ranks):
+        if not 0 <= dst < len(rs.job.ranks):
             raise ValueError(
-                f"rank {rs.rank} of {rs.job.spec.name!r} sends to invalid rank {op.dst}"
+                f"rank {rs.rank} of {rs.job.spec.name!r} sends to invalid rank {dst}"
             )
-        req = Request("send", rs.rank, op.nbytes, op.dst, op.tag, now)
+        req = Request("send", rs.rank, nbytes, dst, tag, now)
         rs.stats.msgs_sent += 1
-        rs.stats.bytes_sent += op.nbytes
-        meta = (rs.job.app_id, rs.rank, op.dst, op.tag, op.nbytes, now, req)
+        rs.stats.bytes_sent += nbytes
+        meta = (rs.job.app_id, rs.rank, dst, tag, nbytes, now, req)
         self.fabric.send_message(
-            rs.job.app_id, rs.node, rs.job.spec.rank_to_node[op.dst], op.nbytes, meta
+            rs.job.app_id, rs.node, rs.job.spec.rank_to_node[dst], nbytes, meta
         )
         return req
 
     def _op_irecv(self, rs: _RankState, op: Irecv) -> Request:
-        req = Request("recv", rs.rank, op.nbytes or 0, op.src, op.tag, self.engine.now)
-        msg = self._match_unexpected(rs, op.src, op.tag)
+        return self._irecv(rs, op.src, op.nbytes or 0, op.tag)
+
+    def _irecv(self, rs: _RankState, src: int, nbytes: int, tag: int) -> Request:
+        if src != ANY_SOURCE and not 0 <= src < len(rs.job.ranks):
+            raise ValueError(
+                f"rank {rs.rank} of {rs.job.spec.name!r} receives from invalid rank {src}"
+            )
+        req = Request("recv", rs.rank, nbytes, src, tag, self.engine.now)
+        msg = self._match_unexpected(rs, src, tag)
         if msg is not None:
             req.complete = True
             req.result = msg
@@ -597,7 +665,9 @@ class SimMPI:
         return req
 
     def _op_wait(self, rs: _RankState, op: Wait) -> Any:
-        req = op.request
+        return self._wait(rs, op.request)
+
+    def _wait(self, rs: _RankState, req: Request) -> Any:
         if req.complete:
             return req.result
         req.waiter = rs
@@ -607,12 +677,15 @@ class SimMPI:
         return _BLOCKED
 
     def _op_waitall(self, rs: _RankState, op: Waitall) -> Any:
-        pending = [r for r in op.requests if not r.complete]
+        return self._waitall(rs, op.requests)
+
+    def _waitall(self, rs: _RankState, requests: list[Request]) -> Any:
+        pending = [r for r in requests if not r.complete]
         if not pending:
-            return [r.result for r in op.requests]
+            return [r.result for r in requests]
         for r in pending:
             r.waiter = rs
-        rs.wait_group = op.requests
+        rs.wait_group = requests
         rs.pending_reqs = len(pending)
         self._block(rs)
         return _BLOCKED
@@ -622,6 +695,44 @@ class SimMPI:
         self.engine.schedule(op.seconds, rs.driver_lp, "wake", rs, Priority.WAKEUP)
         rs.blocked = False  # not comm-blocked; just descheduled
         return _BLOCKED
+
+    def _op_collective(self, rs: _RankState, op: Collective) -> Any:
+        rs.coll = op
+        rs.coll_pc = 0
+        rs.coll_reqs = []
+        return self._run_collective(rs)
+
+    def _run_collective(self, rs: _RankState) -> Any:
+        """Issue the running collective's steps until one blocks
+        (``_BLOCKED``) or the schedule ends (``None``, the value the
+        collective call returns)."""
+        op = rs.coll
+        base = op.tag_base
+        code = op.schedule.code
+        reqs = rs.coll_reqs
+        pc, end = rs.coll_pc, len(code)
+        while pc < end:
+            step = code[pc]
+            if step == ISEND:
+                reqs.append(self._isend(rs, code[pc + 1], code[pc + 2], base + code[pc + 3]))
+                pc += 4
+            elif step == IRECV:
+                reqs.append(self._irecv(rs, code[pc + 1], 0, base + code[pc + 2]))
+                pc += 3
+            else:
+                if step == WAIT:
+                    value = self._wait(rs, reqs[code[pc + 1]])
+                    pc += 2
+                else:  # WAITALL
+                    n = code[pc + 1]
+                    value = self._waitall(rs, [reqs[q] for q in code[pc + 2:pc + 2 + n]])
+                    pc += 2 + n
+                if value is _BLOCKED:
+                    rs.coll_pc = pc
+                    return _BLOCKED
+        rs.coll = None
+        rs.coll_reqs = []
+        return None
 
     def _block(self, rs: _RankState) -> None:
         rs.blocked = True

@@ -16,8 +16,14 @@ must be driven with ``yield from``; nonblocking primitives (``isend``,
 
 The ctx also carries the counters used for skeleton validation: every
 call increments an ``MPI_<Name>``-style counter, while the internal
-point-to-point messages of collectives are *not* double counted (they
-go through the private ``_isend_raw``/``_irecv_raw`` channel).
+point-to-point messages of collectives are *not* double counted.
+
+A collective call yields one :class:`~repro.mpi.types.Collective` op:
+the algorithm's recorded point-to-point schedule
+(:mod:`repro.mpi.collectives`, "Schedules"), which the runtime executes
+step by step.  A call whose schedule is too long to record drives the
+algorithm's generator instead, through the private
+``_isend_raw``/``_irecv_raw`` channel.
 """
 
 from __future__ import annotations
@@ -25,7 +31,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.mpi import collectives as coll
-from repro.mpi.types import ANY_SOURCE, ANY_TAG, Compute, Irecv, Isend, Message, Request, Sleep, Wait, Waitall
+from repro.mpi.types import (
+    ANY_SOURCE,
+    ANY_TAG,
+    Collective,
+    Compute,
+    Irecv,
+    Isend,
+    Request,
+    Sleep,
+    Wait,
+    Waitall,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.engine import SimMPI, _RankState
@@ -127,37 +144,43 @@ class RankCtx:
         return Sleep(seconds)
 
     # -- collectives (drive with ``yield from``) -------------------------------------
+    def _collective(self, counter: str, algorithm, args: tuple) -> Generator:
+        """Count the call, then yield it as its schedule (nothing for an
+        empty one), or drive the generator when it was not recorded."""
+        rs = self._rs
+        rs.stats.count(counter)
+        sched = coll.schedule(algorithm, len(rs.job.ranks), rs.rank, args)
+        if sched is None:
+            yield from algorithm(self, *args)
+            return
+        seq = self._coll_seq
+        self._coll_seq = seq + sched.seqs
+        if sched.code:
+            yield Collective(sched, coll.tag_base(seq, sched))
+
     def barrier(self) -> Generator:
-        self._rs.stats.count("MPI_Barrier")
-        yield from coll.barrier(self)
+        return self._collective("MPI_Barrier", coll.barrier, ())
 
     def bcast(self, nbytes: int, root: int = 0) -> Generator:
-        self._rs.stats.count("MPI_Bcast")
-        yield from coll.bcast(self, nbytes, root)
+        return self._collective("MPI_Bcast", coll.bcast, (nbytes, root))
 
     def reduce(self, nbytes: int, root: int = 0) -> Generator:
-        self._rs.stats.count("MPI_Reduce")
-        yield from coll.reduce(self, nbytes, root)
+        return self._collective("MPI_Reduce", coll.reduce, (nbytes, root))
 
     def allreduce(self, nbytes: int, algorithm: str = "auto") -> Generator:
-        self._rs.stats.count("MPI_Allreduce")
-        yield from coll.allreduce(self, nbytes, algorithm)
+        return self._collective("MPI_Allreduce", coll.allreduce, (nbytes, algorithm))
 
     def allgather(self, nbytes: int) -> Generator:
-        self._rs.stats.count("MPI_Allgather")
-        yield from coll.allgather(self, nbytes)
+        return self._collective("MPI_Allgather", coll.allgather, (nbytes,))
 
     def alltoall(self, nbytes: int) -> Generator:
-        self._rs.stats.count("MPI_Alltoall")
-        yield from coll.alltoall(self, nbytes)
+        return self._collective("MPI_Alltoall", coll.alltoall, (nbytes,))
 
     def gather(self, nbytes: int, root: int = 0) -> Generator:
-        self._rs.stats.count("MPI_Gather")
-        yield from coll.gather(self, nbytes, root)
+        return self._collective("MPI_Gather", coll.gather, (nbytes, root))
 
     def scatter(self, nbytes: int, root: int = 0) -> Generator:
-        self._rs.stats.count("MPI_Scatter")
-        yield from coll.scatter(self, nbytes, root)
+        return self._collective("MPI_Scatter", coll.scatter, (nbytes, root))
 
     # -- logging / bookkeeping ---------------------------------------------------------
     def reset_counters(self) -> None:

@@ -122,6 +122,20 @@ class Sleep(Compute):
     __slots__ = ()
 
 
+class Collective:
+    """One collective call, run as its recorded point-to-point schedule
+    (:class:`repro.mpi.collectives.Schedule`); resumes with ``None``
+    once every step has completed.  ``tag_base`` is added to every
+    recorded tag: it is what isolates this call from the rank's other
+    collectives."""
+
+    __slots__ = ("schedule", "tag_base")
+
+    def __init__(self, schedule, tag_base: int) -> None:
+        self.schedule = schedule
+        self.tag_base = tag_base
+
+
 class MessageHook:
     """Extension point for fabric messages owned by non-MPI subsystems.
 

@@ -375,8 +375,10 @@ class NetworkFabric:
 
     # -- inspection -------------------------------------------------------------
     def in_flight(self) -> int:
-        """Messages injected but not yet fully delivered."""
-        return len(self._msgs)
+        """Messages injected but not yet fully delivered (always current,
+        also for the messages resident ranks send natively)."""
+        resident = self._resident
+        return len(self._msgs) + (resident.mpi_in_flight if resident is not None else 0)
 
     def nonmin_fraction(self, app_id: int) -> float:
         """Fraction of ``app_id``'s packets that took a Valiant detour."""

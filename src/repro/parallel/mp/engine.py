@@ -46,6 +46,8 @@ from repro.pdes.event import Event
 class MpConservativeEngine(ConservativeEngine):
     """Conservative engine that runs partitions in worker processes."""
 
+    ranks_reason = "the mp layout runs every rank in Python, in its workers"
+
     def __init__(
         self,
         lookahead: float,
@@ -97,6 +99,8 @@ class MpConservativeEngine(ConservativeEngine):
         info = super().describe()
         info["mode"] = self.execution_mode
         info["fallback"] = self.fallback_reason
+        info["ranks"] = self.ranks
+        info["ranks_reason"] = self.ranks_reason
         return info
 
     # -- mode decision -----------------------------------------------------

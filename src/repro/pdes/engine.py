@@ -19,8 +19,8 @@ class Engine:
 
     What *kind* of engine an instance is -- windowed or not, which
     backend runs its loop, whether it distributes -- is data on the
-    instance (the attributes below) plus five hooks with no-op defaults
-    (:meth:`adopt_fabric`, :meth:`bind_model_source`,
+    instance (the attributes below) plus six hooks with no-op defaults
+    (:meth:`adopt_fabric`, :meth:`adopt_ranks`, :meth:`bind_model_source`,
     :meth:`bind_telemetry`, :meth:`describe`, :meth:`close`).  The
     layers above call the hooks unconditionally and never ask an engine
     what class it is.
@@ -40,12 +40,15 @@ class Engine:
     #: Set on engines built through an ``accel-*`` preset: the backend
     #: that actually runs the loop (``"compiled"``/``"python"``),
     #: whether the network fabric is ``"resident"`` in the kernel or
-    #: runs as ``"python"`` LPs, and -- never empty when the answer is
-    #: not the fast one -- why.
+    #: runs as ``"python"`` LPs, whether the SimMPI ranks are
+    #: ``"resident"`` in the kernel or run in ``"python"``, and -- never
+    #: empty when the answer is not the fast one -- why.
     backend: str | None = None
     backend_reason: str = ""
     fabric: str = "python"
     fabric_reason: str = ""
+    ranks: str = "python"
+    ranks_reason: str = ""
 
     #: Bit width reserved for the per-origin event counter in ``seq``
     #: (see :meth:`schedule_fast`): 2^40 events per origin before the
@@ -194,6 +197,12 @@ class Engine:
         end of its construction.  The compiled engine takes ownership of
         the fabric's state here; the others run its LPs as they are."""
 
+    def adopt_ranks(self, mpi: Any) -> None:
+        """Called by :meth:`SimMPI.start` (once, before the first event).
+        The compiled engine takes over the runtime's rank progression --
+        matching, requests, waits, compute wakeups -- or records why
+        not; others: nothing."""
+
     def bind_model_source(self, session: Any) -> None:
         """Called by :meth:`SimulationSession.build` with the built
         session.  A distributing engine distills it into what its
@@ -230,9 +239,10 @@ class Engine:
         """What this run resolved, for the scenario JSON ``engine``
         stanza (next to the spec's own ``[engine]`` table): a windowing
         engine's ``partitions``/``lookahead``/``windows``/``scheme``,
-        a distributing engine's ``mode``/``fallback``, an ``accel-*``
-        engine's ``backend``/``backend_reason``/``fabric``/
-        ``fabric_reason``.  Empty for the plain sequential engine."""
+        a distributing engine's ``mode``/``fallback``/``ranks``/
+        ``ranks_reason``, an ``accel-*`` engine's ``backend``/
+        ``backend_reason``/``fabric``/``fabric_reason``/``ranks``/
+        ``ranks_reason``.  Empty for the plain sequential engine."""
         info: dict[str, Any] = {}
         if self.lookahead is not None:
             info["partitions"] = self.n_partitions
@@ -245,6 +255,8 @@ class Engine:
             info["backend_reason"] = self.backend_reason or None
             info["fabric"] = self.fabric
             info["fabric_reason"] = self.fabric_reason or None
+            info["ranks"] = self.ranks
+            info["ranks_reason"] = self.ranks_reason or None
         return info
 
     def close(self) -> None:

@@ -187,6 +187,7 @@ def _build_preset(axes: Mapping[str, str], topo: Any,
     eng.backend = "python"
     eng.backend_reason = reason
     eng.fabric_reason = "the python backend runs every LP in Python"
+    eng.ranks_reason = "the python backend runs every rank in Python"
     return eng
 
 

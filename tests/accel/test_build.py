@@ -188,7 +188,8 @@ def test_wrong_abi_kernel_is_refused_with_the_reason(tmp_path, monkeypatch,
     source.write_text(STUB % (shift, abi))
     monkeypatch.delenv("UNION_ACCEL_DISABLE", raising=False)
     monkeypatch.setenv("UNION_ACCEL_CACHE", str(tmp_path / "cache"))
-    monkeypatch.setattr(accel_build, "_SOURCE", source)
+    monkeypatch.setattr(accel_build, "_UNITS", (source,))
+    monkeypatch.setattr(accel_build, "_SOURCES", (source,))
     with pytest.raises(AccelUnavailable, match=f"ABI mismatch.*{complaint}"):
         load_kernel()
     eng = accel_sequential_engine()

@@ -1,8 +1,11 @@
-"""Collective algorithms: completion, message counts, synchronization."""
+"""Collective algorithms: completion, message counts, synchronization,
+and the schedules they are recorded into."""
 
 import pytest
 
+from repro.mpi import collectives as coll
 from repro.mpi.engine import JobSpec, SimMPI
+from repro.mpi.types import Irecv, Isend, Wait, Waitall
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.fabric import NetworkFabric
@@ -208,3 +211,116 @@ def test_collective_counters():
     assert counts["MPI_Barrier"] == 4
     # internal point-to-point traffic is not double counted
     assert "MPI_Isend" not in counts
+
+
+# -- recorded schedules ----------------------------------------------------------
+
+ALGORITHMS = [
+    (coll.barrier, ()), (coll.bcast, (100, 2)), (coll.reduce, (7, 3)),
+    (coll.allreduce, (8, "rd")), (coll.allreduce, (8, "ring")),
+    (coll.allreduce, (1 << 20, "auto")), (coll.allgather, (64,)),
+    (coll.alltoall, (0,)), (coll.gather, (5, 1)), (coll.scatter, (9, 4)),
+]
+
+
+class _DirectCtx:
+    """A ctx to drive an algorithm's generator directly, the way a rank
+    did before schedules: requests are handles in order of issue."""
+
+    def __init__(self, size, rank, seq):
+        self.size, self.rank, self._seq = size, rank, seq
+
+    def _next_coll_seq(self):
+        self._seq += 1
+        return self._seq - 1
+
+    def _isend_raw(self, dst, nbytes, tag):
+        return Isend(dst, nbytes, tag)
+
+    def _irecv_raw(self, src, tag):
+        return Irecv(src, None, tag)
+
+
+def _direct_ops(algorithm, size, rank, args, seq):
+    gen, ops, issued, value = algorithm(_DirectCtx(size, rank, seq), *args), [], 0, None
+    while True:
+        try:
+            op = gen.send(value)
+        except StopIteration:
+            return ops
+        value = None
+        if isinstance(op, Isend):
+            ops.append(("isend", op.dst, op.nbytes, op.tag))
+            value, issued = issued, issued + 1
+        elif isinstance(op, Irecv):
+            ops.append(("irecv", op.src, op.tag))
+            value, issued = issued, issued + 1
+        elif isinstance(op, Wait):
+            ops.append(("waitall", (op.request,)))
+        else:
+            assert isinstance(op, Waitall)
+            ops.append(("waitall", tuple(op.requests)))
+
+
+def _schedule_ops(sched, base):
+    code, pc, ops = list(sched.code), 0, []
+    while pc < len(code):
+        step = code[pc]
+        if step == coll.ISEND:
+            ops.append(("isend", code[pc + 1], code[pc + 2], base + code[pc + 3]))
+            pc += 4
+        elif step == coll.IRECV:
+            ops.append(("irecv", code[pc + 1], base + code[pc + 2]))
+            pc += 3
+        elif step == coll.WAIT:
+            ops.append(("waitall", (code[pc + 1],)))
+            pc += 2
+        else:
+            n = code[pc + 1]
+            ops.append(("waitall", tuple(code[pc + 2:pc + 2 + n])))
+            pc += 2 + n
+    return ops
+
+
+@pytest.mark.parametrize("algorithm, args", ALGORITHMS,
+                         ids=[f"{a.__name__}{args}" for a, args in ALGORITHMS])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13])
+def test_schedule_is_the_generators_op_stream(algorithm, args, size):
+    """For every rank, the recorded schedule issues exactly what driving
+    the generator issues, with tags offset by the call's sequence number."""
+    for rank in range(size):
+        sched = coll.record(algorithm, size, rank, args)
+        for seq in (0, 5):
+            want = _direct_ops(algorithm, size, rank, args, seq)
+            got = _schedule_ops(sched, coll.tag_base(seq, sched))
+            assert got == want, (rank, seq)
+        assert sched.seqs == (size > 1)
+        assert sched.n_reqs == sum(op[0] != "waitall" for op in want)
+
+
+def test_schedules_are_cached_and_bounded(monkeypatch):
+    monkeypatch.setattr(coll, "_cache", type(coll._cache)())
+    monkeypatch.setattr(coll, "_cache_words", 0)
+    a = coll.schedule(coll.barrier, 8, 3, ())
+    assert coll.schedule(coll.barrier, 8, 3, ()) is a
+    monkeypatch.setattr(coll, "CACHE_WORDS", len(a.code) + 1)
+    coll.schedule(coll.barrier, 8, 4, ())
+    assert list(coll._cache) == [(coll.barrier, 8, 4, ())]  # LRU evicted rank 3
+    monkeypatch.setattr(coll, "MAX_SCHEDULE_WORDS", 4)
+    assert coll.schedule(coll.alltoall, 8, 0, (1,)) is None  # too long: not recorded
+
+
+def test_malformed_collectives_are_refused_at_record_time():
+    def unwaited(ctx):
+        seq = ctx._next_coll_seq()
+        yield ctx._isend_raw(0, 1, coll._tag(seq, 0))
+
+    def foreign_tag(ctx):
+        ctx._next_coll_seq()
+        req = yield ctx._isend_raw(0, 1, 5)
+        yield Wait(req)
+
+    with pytest.raises(ValueError, match="unwaited"):
+        coll.record(unwaited, 2, 1, ())
+    with pytest.raises(ValueError, match="outside its sequence numbers"):
+        coll.record(foreign_tag, 2, 1, ())

@@ -210,3 +210,21 @@ def test_sendrecv_exchange():
 
     res, _ = run_job(prog, 2, nodes=[0, 80])
     assert res.finished
+
+
+@pytest.mark.parametrize("engine", ["sequential", "default"])
+def test_irecv_from_outside_the_job_raises(engine):
+    """It used to block until the horizon, silently."""
+    from repro.pdes.sequential import SequentialEngine
+
+    def prog(ctx):
+        if ctx.rank == 1:
+            yield ctx.irecv(99)
+        yield from ctx.recv(ANY_SOURCE)  # ANY_SOURCE stays legal
+
+    fabric = NetworkFabric(Dragonfly1D.mini(), NetworkConfig(seed=1),
+                           engine=SequentialEngine() if engine == "sequential" else None)
+    mpi = SimMPI(fabric)
+    mpi.add_job(JobSpec("job", 4, prog, [0, 1, 2, 3]))
+    with pytest.raises(ValueError, match="rank 1 of 'job' receives from invalid rank 99"):
+        mpi.run(until=1.0)

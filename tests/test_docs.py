@@ -150,6 +150,15 @@ def test_engines_doc_must_name_fabric_sync(check_docs, tmp_path):
         check_docs.check_engines_doc(p)
 
 
+@pytest.mark.parametrize("name", ["adopt_ranks(", "ranks_reason`"])
+def test_engines_doc_must_name_resident_ranks(check_docs, tmp_path, name):
+    text = (REPO / "docs" / "engines.md").read_text()
+    p = tmp_path / "engines.md"
+    p.write_text(text.replace(f"`{name}", "`gone"))
+    with pytest.raises(AssertionError, match=name.rstrip("(`")):
+        check_docs.check_engines_doc(p)
+
+
 def test_telemetry_doc_drift_is_caught(check_docs, tmp_path):
     text = (REPO / "docs" / "telemetry.md").read_text()
     p = tmp_path / "telemetry.md"
