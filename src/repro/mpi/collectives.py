@@ -38,9 +38,10 @@ kernel's resident ranks (``_ranks.c``).  They issue the identical
 operations in the identical order, at the same simulated instants, as
 the generator would.  Recorded tags are relative to the call's
 sequence number (``_tag(seq, 0)``), so one schedule serves every call
-with the same arguments.  A schedule longer than :data:`MAX_SCHEDULE_WORDS`
-is not recorded: that call drives its generator as before, which keeps
-memory flat for O(n) algorithms at large n.
+with the same arguments.  Sizes and roots are integers (``RankCtx``
+refuses anything else before the lookup), so keys that compare equal
+record equal schedules.  Every call is recorded; the cache bounds the
+memory.
 
 A schedule is an ``array('q')`` of words, step after step:
 
@@ -78,22 +79,18 @@ def _tag(seq: int, step: int) -> int:
 #: Step codes (``_ranks.c`` reads the same numbers).
 ISEND, IRECV, WAIT, WAITALL = range(4)
 
-#: Longest schedule recorded, in words (a ring allreduce over ~90 ranks).
-MAX_SCHEDULE_WORDS = 1 << 11
 #: Words the schedule cache holds at most.
 CACHE_WORDS = 1 << 20
 
 
 class Schedule:
     """One rank's recorded collective: ``code`` (see the module
-    docstring), the requests it issues (``n_reqs``) and how many
-    sequence numbers it draws (``seqs``)."""
+    docstring) and how many sequence numbers it draws (``seqs``)."""
 
-    __slots__ = ("code", "n_reqs", "seqs")
+    __slots__ = ("code", "seqs")
 
-    def __init__(self, code: array, n_reqs: int, seqs: int) -> None:
+    def __init__(self, code: array, seqs: int) -> None:
         self.code = code
-        self.n_reqs = n_reqs
         self.seqs = seqs
 
 
@@ -119,10 +116,9 @@ class _Recorder:
         return Irecv(src, None, tag)
 
 
-def record(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
+def record(algorithm, size: int, rank: int, args: tuple) -> Schedule:
     """Drive ``algorithm(ctx, *args)`` for ``rank`` of ``size`` into a
-    :class:`Schedule`; ``None`` when it outgrows
-    :data:`MAX_SCHEDULE_WORDS`."""
+    :class:`Schedule`."""
     ctx = _Recorder(size, rank)
     gen = algorithm(ctx, *args)
     code = array("q")
@@ -154,13 +150,7 @@ def record(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
             waited.update(reqs)
         else:
             raise TypeError(f"collective {algorithm.__name__} yielded {op!r}")
-        try:
-            code.extend(words)
-        except TypeError:  # a word that is not an int (a float size)
-            words = ()
-        if not words or len(code) > MAX_SCHEDULE_WORDS:
-            gen.close()
-            return None
+        code.extend(words)
         if kind is Isend or kind is Irecv:
             tags.append(len(code) - 1)
     if waited != set(range(issued)):
@@ -174,15 +164,14 @@ def record(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
                 raise ValueError(f"{algorithm.__name__} uses tag {code[at]} "
                                  "outside its sequence numbers")
             code[at] -= lo
-    return Schedule(code, issued, ctx.seqs)
+    return Schedule(code, ctx.seqs)
 
 
 _cache: OrderedDict = OrderedDict()
 _cache_words = 0
-_UNRECORDED = Schedule(array("q"), 0, 0)  # cached stand-in for None
 
 
-def schedule(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
+def schedule(algorithm, size: int, rank: int, args: tuple) -> Schedule:
     """The (cached) :func:`record` of one collective call."""
     global _cache_words
     key = (algorithm, size, rank, args)
@@ -190,12 +179,11 @@ def schedule(algorithm, size: int, rank: int, args: tuple) -> Schedule | None:
     if sched is not None:
         _cache.move_to_end(key)
     else:
-        sched = record(algorithm, size, rank, args) or _UNRECORDED
-        _cache[key] = sched
+        sched = _cache[key] = record(algorithm, size, rank, args)
         _cache_words += len(sched.code) + 1
         while _cache_words > CACHE_WORDS:
             _cache_words -= len(_cache.popitem(last=False)[1].code) + 1
-    return None if sched is _UNRECORDED else sched
+    return sched
 
 
 def tag_base(seq: int, sched: Schedule) -> int:

@@ -364,12 +364,12 @@ class SimMPI:
     def register_op_handler(self, op_type: type, handler: Callable) -> None:
         """Let a subsystem (e.g. storage) handle a new yieldable op type.
 
-        Register before :meth:`start`: resident ranks (the engine takes
-        them over there unless a handler is registered) cannot call it.
+        Register before :meth:`start`, on every engine: that is where the
+        engine decides whether it can run the ranks itself.
         """
-        if self._ranks is not None:
-            raise RuntimeError("the ranks are resident in the compiled kernel; "
-                               "register op handlers before start()")
+        if self._started:
+            raise RuntimeError("cannot register op handlers after the "
+                               "simulation started")
         if op_type in self.op_handlers:
             raise ValueError(f"handler for {op_type.__name__} already registered")
         self.op_handlers[op_type] = handler

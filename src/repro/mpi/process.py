@@ -21,13 +21,12 @@ point-to-point messages of collectives are *not* double counted.
 A collective call yields one :class:`~repro.mpi.types.Collective` op:
 the algorithm's recorded point-to-point schedule
 (:mod:`repro.mpi.collectives`, "Schedules"), which the runtime executes
-step by step.  A call whose schedule is too long to record drives the
-algorithm's generator instead, through the private
-``_isend_raw``/``_irecv_raw`` channel.
+step by step.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.mpi import collectives as coll
@@ -101,18 +100,6 @@ class RankCtx:
         self._rs.stats.count("MPI_Waitall")
         return Waitall(requests)
 
-    # Internal channel used by the collective algorithms: no counters.
-    def _isend_raw(self, dst: int, nbytes: int, tag: int) -> Isend:
-        return Isend(dst, nbytes, tag)
-
-    def _irecv_raw(self, src: int, tag: int) -> Irecv:
-        return Irecv(src, None, tag)
-
-    def _next_coll_seq(self) -> int:
-        seq = self._coll_seq
-        self._coll_seq += 1
-        return seq
-
     # -- blocking helpers (drive with ``yield from``) ------------------------------
     def send(self, dst: int, nbytes: int, tag: int = 0) -> Generator:
         """Blocking send: returns once the message left the NIC."""
@@ -146,13 +133,16 @@ class RankCtx:
     # -- collectives (drive with ``yield from``) -------------------------------------
     def _collective(self, counter: str, algorithm, args: tuple) -> Generator:
         """Count the call, then yield it as its schedule (nothing for an
-        empty one), or drive the generator when it was not recorded."""
+        empty one).  Sizes and roots must be integers: a schedule holds
+        them as such, on every engine."""
+        try:
+            args = tuple(a if isinstance(a, str) else operator.index(a) for a in args)
+        except TypeError:
+            raise TypeError(f"{counter} sizes and roots must be integers, "
+                            f"got {args!r}") from None
         rs = self._rs
         rs.stats.count(counter)
         sched = coll.schedule(algorithm, len(rs.job.ranks), rs.rank, args)
-        if sched is None:
-            yield from algorithm(self, *args)
-            return
         seq = self._coll_seq
         self._coll_seq = seq + sched.seqs
         if sched.code:

@@ -110,16 +110,24 @@ def test_every_collective_matches_sequential(n):
     assert all(row[1] for row in got["ranks"])  # every job finished
 
 
-def test_unrecorded_collective_drives_its_generator(monkeypatch):
-    """A schedule longer than MAX_SCHEDULE_WORDS is not recorded; that
-    call yields the algorithm's own point-to-point ops, on both
-    executors alike."""
-    monkeypatch.setattr(coll, "MAX_SCHEDULE_WORDS", 12)
+@pytest.mark.parametrize("sizes", [(8, 8.0), (8.0, 8)], ids=["int-first", "float-first"])
+def test_a_float_collective_size_fails_alike_whatever_ran_before(sizes, monkeypatch):
+    """Equal sizes of different types share no schedule: the float call
+    is refused on both executors, before or after the int call."""
     monkeypatch.setattr(coll, "_cache", type(coll._cache)())
-    jobs = [("coll", 8, every_collective, list(range(8)))]
-    ref, got, mpi = both(jobs)
-    assert_resident(mpi)
-    assert got == ref
+
+    def program(ctx):
+        for nbytes in sizes:
+            yield from ctx.allreduce(nbytes)
+
+    def run(engine):
+        mpi = build(engine, [("f", 4, program, list(range(4)))])
+        with pytest.raises(TypeError, match=r"MPI_Allreduce sizes and roots "
+                           r"must be integers, got \(8.0, 'auto'\)"):
+            mpi.run(until=1.0)
+        return mpi.engine.events_processed, state(mpi)
+
+    assert run(None) == run(SequentialEngine())
 
 
 # -- point to point ----------------------------------------------------------
@@ -306,14 +314,6 @@ def test_invalid_destinations_raise_on_both_executors():
         with pytest.raises(ValueError,
                            match="rank 0 of 'bad' receives from invalid rank 9"):
             mpi.run(until=1.0)
-
-
-def test_op_handlers_cannot_be_registered_once_ranks_are_resident():
-    mpi = build(None, [("c", 2, every_collective, [0, 1])])
-    mpi.start()
-    assert_resident(mpi)
-    with pytest.raises(RuntimeError, match="before start"):
-        mpi.register_op_handler(int, lambda *a: None)
 
 
 # -- conservative windows ---------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.mpi.engine import JobSpec, SimMPI
 from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.fabric import NetworkFabric
+from repro.pdes.sequential import SequentialEngine
 
 
 def make_mpi():
@@ -45,6 +46,20 @@ def test_cannot_add_job_after_start():
     mpi.run(until=0.1)
     with pytest.raises(RuntimeError, match="after the simulation started"):
         mpi.add_job(JobSpec("b", 2, exchange, [2, 3]))
+
+
+@pytest.mark.parametrize("engine", [SequentialEngine, None],
+                         ids=["sequential", "default"])
+def test_cannot_register_op_handler_after_start(engine):
+    """One rule on every engine, whether or not it runs the ranks itself."""
+    fabric = NetworkFabric(Dragonfly1D.mini(), NetworkConfig(seed=1), routing="min",
+                           engine=engine and engine())
+    mpi = SimMPI(fabric)
+    mpi.add_job(JobSpec("a", 2, exchange, [0, 1]))
+    mpi.start()
+    with pytest.raises(RuntimeError, match="after the simulation started"):
+        mpi.register_op_handler(int, lambda *a: None)
+    assert mpi.op_handlers == {}
 
 
 def test_two_jobs_do_not_cross_talk():
