@@ -29,7 +29,12 @@ on ``accel-sequential`` -- and asserts:
    scenario keeps its ranks in Python and says why;
 7. (compiled only) 20 back-to-back storms, each with that allreduce on
    resident ranks, leak nothing: the count of gc-tracked objects is flat
-   and RSS grows by less than 1 MB after the second.
+   and RSS grows by less than 1 MB after the second;
+8. (compiled only) so do 8 stepped runs: a mini Workload3 session
+   stepped in 400 windows and finalized.  Every step freezes the built
+   model and moves what survives into the oldest generation on return
+   (``repro.pdes.collector``); nothing may pile up there, also when
+   nothing but the collector itself reclaims the finished runs.
 
 ``--build-sanitized`` instead rebuilds the kernel with UBSan (and
 ``--asan`` AddressSanitizer) into ``UNION_ACCEL_CACHE`` under the key
@@ -81,6 +86,21 @@ FAULTS = [
 MAX_SYNC_OPS_PER_MESSAGE = 4
 #: Calls into Python per delivered message the allreduce drill may cost.
 MAX_PY_ENTRIES_PER_MESSAGE = 1
+
+#: The paper's Workload3 (two ML skeletons, three HPC apps) on the mini
+#: 1D dragonfly, for the stepped leak drill.
+WORKLOAD3 = {
+    "name": "accel-smoke-workload3",
+    "topology": {"network": "1d", "scale": "mini"},
+    "seed": 3,
+    "horizon": 0.05,
+    "routing": "adp",
+    "placement": "rg",
+    "jobs": [{"app": app} for app in
+             ("cosmoflow", "alexnet", "nekbone", "milc", "nn")],
+}
+#: Windows the stepped leak drill advances each session in.
+STEP_WINDOWS = 400
 
 STORAGE = {
     "name": "accel-smoke-storage",
@@ -149,20 +169,49 @@ def rss_kb() -> int:
         return int(fh.read().split()[1]) * resource.getpagesize() // 1024
 
 
-def leak_drill(run) -> None:
-    """20 back-to-back storms: flat gc object count, RSS growth < 1 MB
-    after the second (the first two warm every cache)."""
+def stepped_run() -> None:
+    """One mini Workload3 session, stepped in STEP_WINDOWS windows and
+    finalized."""
+    from repro.scenario import build_manager, parse_scenario
+
+    spec = parse_scenario(WORKLOAD3)
+    session = build_manager(spec).session()
+    session.build()
+    for k in range(1, STEP_WINDOWS + 1):
+        session.step(spec.horizon * k / STEP_WINDOWS)
+    session.finalize()
+
+
+def leak_drill(run, runs: int, what: str) -> None:
+    """``runs`` back-to-back runs: flat gc object count, RSS growth
+    < 1 MB after the second (the first two warm every cache)."""
     counts, rss = [], []
-    for _ in range(20):
+    for _ in range(runs):
         run()
         gc.collect()
         counts.append(len(gc.get_objects()))
         rss.append(rss_kb())
     assert max(counts[1:]) - min(counts[1:]) <= 10, (
-        f"gc-tracked objects not flat across storms: {counts}")
+        f"gc-tracked objects not flat across {what}: {counts}")
     growth = rss[-1] - rss[1]
-    assert growth < 1024, f"RSS grew {growth} kB across 18 storms: {rss}"
-    print(f"leak drill OK: {counts[-1]} gc objects flat, RSS +{growth} kB")
+    assert growth < 1024, f"RSS grew {growth} kB across {runs - 2} {what}: {rss}"
+    print(f"leak drill OK ({runs} {what}): {counts[-1]} gc objects flat, "
+          f"RSS +{growth} kB")
+
+
+def pileup_drill(run, runs: int, what: str) -> None:
+    """``runs`` back-to-back runs and no explicit collection: RSS grows
+    by less than 1 MB after the second, so the collector itself reclaims
+    each finished run's model even though every step froze it."""
+    rss = []
+    for _ in range(runs):
+        run()
+        rss.append(rss_kb())
+    growth = rss[-1] - rss[1]
+    assert growth < 1024, (
+        f"RSS grew {growth} kB across {runs - 2} {what} left to the "
+        f"collector: {rss}")
+    print(f"pile-up drill OK ({runs} {what}): RSS +{growth} kB")
 
 
 def build_sanitized(asan: bool) -> int:
@@ -243,7 +292,10 @@ def main() -> int:
     if backend == "compiled":
         pull_drill()
         ranks_drill(lambda scenario: run("accel-sequential", scenario=scenario))
-        leak_drill(lambda: (run("accel-sequential"), allreduce_drill()))
+        leak_drill(lambda: (run("accel-sequential"), allreduce_drill()),
+                   20, "storms")
+        leak_drill(stepped_run, 8, "stepped runs")
+        pileup_drill(stepped_run, 8, "stepped runs")
     return 0
 
 

@@ -145,11 +145,16 @@ class NetworkFabric:
             self.terminals.append(lp)
         # All LP ids exist now: let every LP resolve its forwarding
         # constants (peer LP ids, bandwidths, latencies) once, instead of
-        # re-deriving them per packet on the hot path.
+        # re-deriving them per packet on the hot path.  The hot-path
+        # callables are resolved here once and shared by every LP: a
+        # bound method per LP is an object per LP for nothing.
+        sched = self.engine.schedule_fast
+        next_pkt_id = self.next_packet_id
+        router_of_node = topo.router_of_node
         for r_lp in self.routers:
-            r_lp.wire_ports()
+            r_lp.wire_ports(sched)
         for t_lp in self.terminals:
-            t_lp.wire_ports()
+            t_lp.wire_ports(sched, next_pkt_id, router_of_node)
 
         routers = self.routers
 

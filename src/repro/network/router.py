@@ -95,9 +95,10 @@ class RouterLP(LP):
         self._load_record = fabric.load_record
         self._queue_record = fabric.queue_record
 
-    def wire_ports(self) -> None:
+    def wire_ports(self, sched) -> None:
         """Resolve per-port forwarding constants (called by the fabric
-        after every router and terminal LP has been registered)."""
+        after every router and terminal LP has been registered, with the
+        engine's ``schedule_fast`` every LP shares)."""
         cfg = self.config
         self._ports = []
         for p in self.topo.router_ports[self.rid]:
@@ -111,7 +112,7 @@ class RouterLP(LP):
                 extra = cfg.latency(p.link_class) + cfg.router_delay
                 hop_inc = 1
             self._ports.append((peer, bw, extra, p.link_id, hop_inc))
-        self._sched = self.engine.schedule_fast
+        self._sched = sched
 
     # -- fault hooks (used by repro.faults) ---------------------------------
     def scale_port_bandwidth(self, port: int, factor: float) -> tuple:

@@ -23,7 +23,7 @@ tuple allocates and unpacks measurably faster than a slotted object.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.config import NetworkConfig
 from repro.network.packet import Packet
@@ -35,6 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import NetworkFabric
 
 _NETWORK = Priority.NETWORK
+#: ``(event kind, handler method name)`` of every event a terminal takes.
+_HANDLER_NAMES = (
+    ("pkt", "_on_pkt"),
+    ("inj_done", "_on_inj_done"),
+    ("drain", "_on_drain"),
+    ("loopback", "_on_loopback"),
+)
 
 
 class TerminalLP(LP):
@@ -56,8 +63,20 @@ class TerminalLP(LP):
         "_sched",
         "_next_pkt_id",
         "_load_record",
-        "_dispatch",
     )
+
+    #: Event kind -> handler, called as ``handler(self, data)``.  One
+    #: table per class (see ``__init_subclass__``), so a subclass
+    #: override of a handler still wins.
+    _handlers: dict[str, Callable[[TerminalLP, Any], None]]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._index_handlers()
+
+    @classmethod
+    def _index_handlers(cls) -> None:
+        cls._handlers = {kind: getattr(cls, name) for kind, name in _HANDLER_NAMES}
 
     def __init__(self, node: int, topo: Topology, config: NetworkConfig, fabric: "NetworkFabric") -> None:
         super().__init__()
@@ -74,30 +93,25 @@ class TerminalLP(LP):
         self._uplink_id = uplink.link_id
         self._inject_latency = config.terminal_latency + config.router_delay
         self._terminal_bw = config.terminal_bw
-        # Bound method, not an inlined division: custom topologies
-        # duck-type the fabric contract through router_of_node().
-        self._router_of_node = topo.router_of_node
-        self._router_lp = -1  # resolved by wire_ports()
+        # Resolved by wire_ports().
+        self._router_lp = -1
         self._sched = None
         self._next_pkt_id = None
+        self._router_of_node = None
         # Telemetry hook; None when link accounting is disabled.
         self._load_record = fabric.load_record
-        # Interned-kind method table bound through ``self`` (one dict
-        # lookup replaces the chain of string comparisons on the
-        # per-packet hot path, and subclass overrides are honored).
-        self._dispatch = {
-            "pkt": self._on_pkt,
-            "inj_done": self._on_inj_done,
-            "drain": self._on_drain,
-            "loopback": self._on_loopback,
-        }
 
-    def wire_ports(self) -> None:
+    def wire_ports(self, sched, next_pkt_id, router_of_node) -> None:
         """Resolve hot-path constants (called by the fabric after every
-        router and terminal LP has been registered)."""
+        router and terminal LP has been registered, with the callables
+        every LP shares: the engine's ``schedule_fast``, the fabric's
+        ``next_packet_id`` and the topology's ``router_of_node`` -- a
+        call, not an inlined division, because custom topologies
+        duck-type the fabric contract through it)."""
         self._router_lp = self.fabric.router_lp_id(self._src_router)
-        self._sched = self.engine.schedule_fast
-        self._next_pkt_id = self.fabric.next_packet_id
+        self._sched = sched
+        self._next_pkt_id = next_pkt_id
+        self._router_of_node = router_of_node
 
     # -- sending ---------------------------------------------------------
     def inject_message(self, msg_id: int, app_id: int, dst_node: int, size: int) -> None:
@@ -151,10 +165,12 @@ class TerminalLP(LP):
 
     # -- event handling ------------------------------------------------------
     def handle(self, event: Event) -> None:
-        handler = self._dispatch.get(event.kind)
+        # One dict lookup replaces a chain of string comparisons on the
+        # per-packet hot path.
+        handler = self._handlers.get(event.kind)
         if handler is None:  # pragma: no cover - defensive
             raise ValueError(f"terminal {self.node} got unknown event kind {event.kind!r}")
-        handler(event.data)
+        handler(self, event.data)
 
     def _on_pkt(self, pkt: Packet) -> None:
         self.fabric.on_packet_delivered(pkt, self.engine.now)
@@ -169,3 +185,6 @@ class TerminalLP(LP):
 
     def _on_loopback(self, msg_id: int) -> None:
         self.fabric.on_loopback(msg_id, self.engine.now)
+
+
+TerminalLP._index_handlers()

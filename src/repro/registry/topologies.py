@@ -31,6 +31,7 @@ from repro.network.dragonfly2d import Dragonfly2D
 from repro.network.fattree import FatTreeTopology
 from repro.network.slimfly import SlimFlyTopology
 from repro.network.torus import TorusTopology
+from repro.pdes import collector
 from repro.registry.core import ComponentSpec, Param, Registry, RegistryError, _err
 
 #: Scales every topology must provide a preset for.
@@ -118,7 +119,9 @@ def build_topology(table: Mapping[str, Any], path: str = "topology") -> Any:
         raise _err(path, "missing 'type' key naming the topology")
     spec = topology_registry.get(name, path=f"{path}.type")
     assert isinstance(spec, TopologySpec)
-    return spec.build(resolve_topology_params(spec, table, path))
+    params = resolve_topology_params(spec, table, path)
+    with collector.building():
+        return spec.build(params)
 
 
 def spec_for_instance(topo: Any) -> TopologySpec | None:

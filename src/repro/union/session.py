@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.mpi.engine import SimMPI
 from repro.network.fabric import NetworkFabric
+from repro.pdes import collector
 from repro.placement.policies import PlacementError
 from repro.telemetry.schema import OBSERVATION_SCHEMA
 from repro.union.policy import (
@@ -180,6 +181,10 @@ class SimulationSession:
         Calling it twice raises: the engine underneath holds per-run LP
         state (build a fresh manager, or ``manager.reset()``).
         """
+        with collector.building():
+            return self._build()
+
+    def _build(self) -> "SimulationSession":
         if self._built:
             raise RuntimeError(
                 "this session is already built (sessions are single-use, "
@@ -261,7 +266,8 @@ class SimulationSession:
             raise RuntimeError("session is finalized; create a fresh manager "
                                "or call manager.reset() to run again")
         assert self.mpi is not None
-        return self.mpi.step(until=until)
+        with collector.running():
+            return self.mpi.step(until=until)
 
     def observe(self) -> Observation:
         """A fresh versioned :class:`Observation` of the current state.

@@ -138,3 +138,30 @@ def test_router_counts_forwarded_packets(fabric):
     size = fabric.config.packet_bytes * 3
     send_and_run(fabric, 0, 1, size)
     assert fabric.routers[0].packets_forwarded == 3
+
+
+def test_terminal_subclass_override_receives_its_packets(monkeypatch):
+    """Terminals dispatch through one handler table per class; a
+    subclass that overrides ``_on_pkt`` still gets every packet."""
+    from repro.network import fabric as fabric_mod
+    from repro.network.terminal import TerminalLP
+    from repro.pdes.sequential import SequentialEngine
+
+    seen = []
+
+    class CountingTerminal(TerminalLP):
+        __slots__ = ()
+
+        def _on_pkt(self, pkt):
+            seen.append((self.node, pkt.msg_id, pkt.size))
+            super()._on_pkt(pkt)
+
+    monkeypatch.setattr(fabric_mod, "TerminalLP", CountingTerminal)
+    topo = Dragonfly1D.mini()
+    cfg = NetworkConfig(seed=1)
+    fab = NetworkFabric(topo, cfg, routing="min", engine=SequentialEngine())
+    dst = topo.n_nodes - 1
+    size = 3 * cfg.packet_bytes + 1
+    assert send_and_run(fab, 0, dst, size) is not None
+    assert sorted((n, s) for n, _, s in seen) == [(dst, 1)] + [(dst, cfg.packet_bytes)] * 3
+    assert TerminalLP._handlers["pkt"] is TerminalLP._on_pkt
