@@ -219,8 +219,7 @@ def check_engines_doc(path: Path = DOCS / "engines.md") -> int:
     assert "`fabric.sync()`" in text, (
         f"{path} does not name `fabric.sync()`, the way to read a resident "
         "fabric's mirrors between coherence points")
-    hooks = ("adopt_fabric", "adopt_ranks", "bind_model_source",
-             "bind_telemetry", "describe", "close")
+    hooks = ("adopt_fabric", "adopt_ranks", "bind_telemetry", "describe")
     unnamed = [h for h in hooks if f"`{h}(" not in text]
     unnamed += [k for k in ("ranks", "ranks_reason") if f"`{k}`" not in text]
     assert not unnamed, (

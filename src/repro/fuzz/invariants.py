@@ -22,14 +22,12 @@ touching the harness.
     Running the identical spec twice yields bit-identical result JSON.
 ``parity``
     Every row of :data:`PARITY_ENGINES` -- the conservative engine (2
-    partitions), the multi-process ``mp-conservative`` engine (inline
-    backend), both ``accel-*`` engines, a forced-python accel run and
-    the default engine (no table) -- reproduces the result of the
-    pure-Python reference (:data:`PARITY_REFERENCE`, pinned explicitly:
-    the default is the compiled kernel) exactly, modulo the ``engine``
-    stanza (:mod:`repro.scenario.oracle`).  Checked on sampled cases
-    only (each engine adds a full run); :attr:`FuzzContext.parity`
-    gates it.
+    partitions), both ``accel-*`` engines and the default engine (no
+    table) -- reproduces the result of the pure-Python reference
+    (:data:`PARITY_REFERENCE`, pinned explicitly: the default is the
+    compiled kernel) exactly, modulo the ``engine`` stanza
+    (:mod:`repro.scenario.oracle`).  Checked on sampled cases only
+    (each engine adds a full run); :attr:`FuzzContext.parity` gates it.
 ``checkpoint_resume``
     Checkpointing mid-horizon, abandoning the session (the fuzz
     stand-in for a killed worker) and resuming from the cursor yields
@@ -130,19 +128,12 @@ PARITY_REFERENCE = {"type": "sequential"}
 
 #: What ``parity`` runs every sampled case on, next to the sequential
 #: reference (a ``None`` table: no ``[engine]`` table, the default
-#: preset).  mp-conservative: the fuzz pool's own workers are daemonic
-#: and cannot spawn children, so the inline backend exercises the full
-#: worker protocol (recipe, window exchange, merge) in-process;
-#: generated scenarios that cannot distribute exercise the fallback
-#: path, which must also match.  The accel engines: the compiled kernel
-#: wherever this host can build one, else its recorded fallback (the
-#: plain Python engine), windowed too since whole YAWNS windows commit
-#: inside the kernel.
+#: preset).  The accel engines: the compiled kernel wherever this host
+#: can build one, else its recorded fallback (the plain Python engine),
+#: windowed too since whole YAWNS windows commit inside the kernel.
 PARITY_ENGINES: tuple[tuple[str, dict], ...] = (
     ("conservative(partitions=2)",
      {"type": "conservative", "partitions": 2}),
-    ("mp-conservative(partitions=2, backend=inline)",
-     {"type": "mp-conservative", "partitions": 2, "backend": "inline"}),
     ("accel-sequential", {"type": "accel-sequential"}),
     ("accel-conservative(partitions=2)",
      {"type": "accel-conservative", "partitions": 2}),

@@ -177,9 +177,9 @@ class NetworkFabric:
         self._msgs: dict[int, _MsgState] = {}
         # Message/packet ids are scoped per source node (node+1 in the
         # high bits, that node's own count in the low 32): each node's
-        # id sequence depends only on its own send order, so a
-        # partitioned run (repro.parallel.mp) assigns the exact ids the
-        # sequential run would without any global counter.
+        # id sequence depends only on its own send order, which the
+        # compiled kernel reproduces, so every engine assigns the
+        # exact ids the sequential run would.
         self._msg_seq = [0] * topo.n_nodes
         self._pkt_seq = [0] * topo.n_nodes
         #: Per-application count of packets routed non-minimally.

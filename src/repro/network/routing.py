@@ -45,9 +45,8 @@ class RoutingPolicy:
         # makes -- including the draws of the Valiant tail through a
         # remote entry router -- comes from src's stream.  The draw
         # sequence of a router is therefore a function of that router's
-        # injection order alone, which is what lets a partitioned run
-        # (repro.parallel.mp) reproduce the sequential draw-for-draw:
-        # all of router r's injections commit inside r's partition.
+        # injection order alone, which the compiled kernel reproduces
+        # draw-for-draw from the same per-router streams.
         self._streams = [
             SplitMix(config.seed, per_router_stream(stream_id, r))
             for r in range(topo.n_routers)

@@ -19,7 +19,6 @@ execution model and the lookahead contract are documented in
 
 * :mod:`repro.parallel.partition` -- topology-aware partition plans
 * :mod:`repro.parallel.runtime`   -- engine factory + lookahead rules
-* :mod:`repro.parallel.mp`        -- true multi-process execution
 """
 
 from repro.parallel.partition import (
@@ -30,28 +29,9 @@ from repro.parallel.partition import (
 )
 from repro.parallel.runtime import conservative_engine, resolve_lookahead
 
-#: repro.parallel.mp symbols resolved lazily: the fabric imports this
-#: package on its hot construction path, and the mp machinery
-#: (multiprocessing, merge plumbing) is only needed when an
-#: mp-conservative engine is actually requested.
-_MP_EXPORTS = frozenset(
-    {"MpConservativeEngine", "WorkerFailure"}
-)
-
-
-def __getattr__(name: str):
-    if name in _MP_EXPORTS:
-        import repro.parallel.mp as _mp
-
-        return getattr(_mp, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "MpConservativeEngine",
     "PartitionError",
     "PartitionPlan",
-    "WorkerFailure",
     "conservative_engine",
     "min_cross_partition_latency",
     "plan_partitions",

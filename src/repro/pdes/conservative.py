@@ -136,27 +136,23 @@ class ConservativeEngine(Engine):
             self._current_partition = saved
 
     # -- execution ---------------------------------------------------------
-    def pending_floor(self) -> float:
-        """Timestamp of the oldest pending event (``inf`` when drained).
-
-        In a parallel run each worker reports its local floor and the
-        master takes the global minimum -- the YAWNS window floor.
-        """
+    def peek_time(self) -> float:
+        """Timestamp of the next pending event (``inf`` if drained)."""
         return eventheap.peek_time(self._queue)
 
     def commit_window(self, window_end: float, until: float = float("inf"),
                       budget: int = -1) -> tuple[int, bool]:
         """Commit every pending event in ``[heap floor, window_end)``.
 
-        The extracted YAWNS window core: events are committed in the
+        The YAWNS window core: events are committed in the
         deterministic ``(time, priority, seq)`` merge order -- including
         events a handler schedules into the remainder of the window --
         stopping at ``window_end``, at the ``until`` horizon (events
         beyond it stay pending), or when ``budget`` more events have
         been committed (``-1`` = unlimited).  Returns ``(committed,
-        budget_hit)``.  This same loop body executes one partition's
-        share of a window inside a :mod:`repro.parallel.mp` worker,
-        where the heap holds only that partition's events.
+        budget_hit)``.  The compiled kernel's ``run_loop`` mirrors this
+        body, budget and exception bookkeeping included, so both
+        backends commit the same events in the same order.
         """
         q = self._queue
         pop = heapq.heappop

@@ -18,12 +18,12 @@ class Engine:
     scheduler.
 
     What *kind* of engine an instance is -- windowed or not, which
-    backend runs its loop, whether it distributes -- is data on the
-    instance (the attributes below) plus six hooks with no-op defaults
-    (:meth:`adopt_fabric`, :meth:`adopt_ranks`, :meth:`bind_model_source`,
-    :meth:`bind_telemetry`, :meth:`describe`, :meth:`close`).  The
-    layers above call the hooks unconditionally and never ask an engine
-    what class it is.
+    backend runs its loop, whether the fabric and ranks are resident in
+    the kernel -- is data on the instance (the attributes below) plus
+    four hooks with no-op defaults (:meth:`adopt_fabric`,
+    :meth:`adopt_ranks`, :meth:`bind_telemetry`, :meth:`describe`).
+    The layers above call the hooks unconditionally and never ask an
+    engine what class it is.
     """
 
     #: Number of partitions the engine executes over (1 when it does
@@ -62,11 +62,10 @@ class Engine:
         # identity of the LP whose handler scheduled the event (slot 0
         # is the environment -- model setup code running outside any
         # handler) and a per-origin counter.  Because the counter of an
-        # origin advances only while that origin executes, the key is
-        # computable *locally* by whichever partition runs the origin,
-        # yet globally unique and identical to what a sequential run
-        # assigns -- the property the multi-process conservative engine
-        # (repro.parallel.mp) relies on for bit-identical merge order.
+        # origin advances only while that origin executes, the key
+        # depends only on that origin's own schedule order -- which the
+        # compiled kernel reproduces, so simultaneous events tie-break
+        # identically on every engine.
         self._origin: int = -1
         self._origin_seq: list[int] = [0]
         self.events_processed: int = 0
@@ -203,11 +202,6 @@ class Engine:
         matching, requests, waits, compute wakeups -- or records why
         not; others: nothing."""
 
-    def bind_model_source(self, session: Any) -> None:
-        """Called by :meth:`SimulationSession.build` with the built
-        session.  A distributing engine distills it into what its
-        workers rebuild the model from."""
-
     def bind_telemetry(self, telemetry: Any) -> None:
         """Publish the engine's execution stats: a windowing engine's
         window count, width and per-partition commits as
@@ -239,10 +233,9 @@ class Engine:
         """What this run resolved, for the scenario JSON ``engine``
         stanza (next to the spec's own ``[engine]`` table): a windowing
         engine's ``partitions``/``lookahead``/``windows``/``scheme``,
-        a distributing engine's ``mode``/``fallback``/``ranks``/
-        ``ranks_reason``, an ``accel-*`` engine's ``backend``/
-        ``backend_reason``/``fabric``/``fabric_reason``/``ranks``/
-        ``ranks_reason``.  Empty for the plain sequential engine."""
+        an ``accel-*`` engine's ``backend``/``backend_reason``/
+        ``fabric``/``fabric_reason``/``ranks``/``ranks_reason``.  Empty
+        for the plain sequential engine."""
         info: dict[str, Any] = {}
         if self.lookahead is not None:
             info["partitions"] = self.n_partitions
@@ -258,11 +251,6 @@ class Engine:
             info["ranks"] = self.ranks
             info["ranks_reason"] = self.ranks_reason or None
         return info
-
-    def close(self) -> None:
-        """Release what the engine holds outside this process (worker
-        processes).  Called by :meth:`SimulationSession.finalize`, after
-        every result has been read; idempotent."""
 
     # -- to be provided by concrete engines ---------------------------------
     def _push(self, ev: Event) -> None:

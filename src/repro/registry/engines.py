@@ -1,4 +1,4 @@
-"""Engine registry: PDES execution engines as named presets over three axes.
+"""Engine registry: PDES execution engines as named presets over two axes.
 
 The paper runs its simulations on CODES/ROSS, where sequential and
 conservative (YAWNS) execution are modes of one engine; this registry
@@ -6,7 +6,7 @@ makes the execution engine a pluggable component like topologies and
 routings, so a scenario's ``[engine]`` table, the CLI's
 ``--engine``/``--partitions`` flags and
 :class:`~repro.union.manager.WorkloadManager`'s ``engine`` parameter
-all resolve through one roster.  An engine is a point on three axes --
+all resolve through one roster.  An engine is a point on two axes --
 
 ``windowing``
     ``none`` (one queue, commit in key order) or ``yawns`` (LPs split
@@ -18,14 +18,9 @@ all resolve through one roster.  An engine is a point on three axes --
     ``python`` or ``compiled`` (the loop in the :mod:`repro.accel` C
     kernel; a host that cannot build it falls back to the
     bit-identical Python engine with the reason recorded).
-``layout``
-    ``in-process`` or ``mp`` (one worker process per partition,
-    cross-partition events exchanged at window boundaries; models that
-    cannot be distributed fall back to single-process execution with
-    the reason recorded).
 
--- and the roster names the five points that exist (``docs/engines.md``
-has the table).  Every preset commits the identical event sequence, so
+-- and the roster names all four points (``docs/engines.md`` has the
+table).  Every preset commits the identical event sequence, so
 the one that runs when nothing names an engine is simply the fastest:
 :data:`DEFAULT_ENGINE`, the compiled kernel wherever this host can build
 it (``sequential`` stays the explicit pure-Python reference).
@@ -38,7 +33,6 @@ topology specs, an engine table cannot be instantiated standalone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Mapping
 
 from repro.network.config import NetworkConfig
@@ -51,7 +45,6 @@ from repro.registry.core import ComponentSpec, Param, Registry, _err
 ENGINE_AXES = {
     "windowing": ("none", "yawns"),
     "backend": ("python", "compiled"),
-    "layout": ("in-process", "mp"),
 }
 
 
@@ -157,11 +150,7 @@ def _build_preset(axes: Mapping[str, str], topo: Any,
     cannot load gets the same engine in Python, with ``backend =
     "python"`` and the reason recorded."""
     windowed = axes["windowing"] == "yawns"
-    if axes["layout"] == "mp":
-        from repro.parallel.mp import MpConservativeEngine
-
-        cls = partial(MpConservativeEngine, backend=params.pop("backend"))
-    elif windowed:
+    if windowed:
         from repro.pdes.conservative import ConservativeEngine
 
         cls = ConservativeEngine
@@ -208,22 +197,6 @@ register_engine(EngineSpec(
     params=(_PARTITIONS,),
     axes=engine_axes(windowing="yawns"),
 ), aliases=("yawns",))
-
-register_engine(EngineSpec(
-    name="mp-conservative",
-    summary="YAWNS execution distributed over one worker process per "
-            "partition (clean single-process fallback, see docs/engines.md)",
-    params=(
-        Param("partitions", "int", "LP partitions (grouped topology-aware), "
-              "one worker process each",
-              default=4, minimum=1),
-        Param("backend", "str",
-              "cross-process transport: 'mp' (spawned processes over "
-              "pipes) or 'inline' (in-process protocol emulation)",
-              default="mp", choices=("mp", "inline")),
-    ),
-    axes=engine_axes(windowing="yawns", layout="mp"),
-), aliases=("mp",))
 
 register_engine(EngineSpec(
     name="accel-sequential",

@@ -1,7 +1,7 @@
 """The determinism oracle: what "the same result" means.
 
-The system's central contract is that every engine preset, backend and
-process layout produces scenario result JSON that is bit-identical
+The system's central contract is that every engine preset and backend
+produces scenario result JSON that is bit-identical
 *modulo the keys that only say how the run was executed*.  This module
 is the one place that lists those keys and splits a result document
 along them; tests, smoke scripts and the fuzz ``parity`` invariant all

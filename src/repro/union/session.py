@@ -237,9 +237,6 @@ class SimulationSession:
         else:
             self._setup_static()
         self.mpi.start()
-        # A distributing engine (repro.parallel.mp) distills the built
-        # model into a worker recipe here.
-        self.fabric.engine.bind_model_source(self)
         self._built = True
         return self
 
@@ -344,9 +341,6 @@ class SimulationSession:
         mgr = self.manager
         end = self.engine.now
         self.mpi.publish_job_metrics()
-        # A distributed engine has merged all worker state by now; its
-        # processes only need releasing.
-        self.engine.close()
         apps = []
         not_started: list[tuple[str, str]] = []
         results = self.mpi.results()

@@ -115,9 +115,7 @@ def full_state(fabric, log):
     return {
         "now": fabric.engine.now,
         "events": fabric.engine.events_processed,
-        "pending": (fabric.engine.pending_floor()
-                    if hasattr(fabric.engine, "pending_floor")
-                    else fabric.engine.peek_time()),
+        "pending": fabric.engine.peek_time(),
         "sent": fabric.messages_sent,
         "delivered": fabric.messages_delivered,
         "in_flight": sorted(fabric._msgs),

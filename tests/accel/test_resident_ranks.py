@@ -416,14 +416,10 @@ def test_a_second_runtime_on_one_engine_runs_in_python():
     assert "already hosts" in engine.ranks_reason
 
 
-def test_the_mp_layout_and_the_python_backend_say_why(monkeypatch):
+def test_the_python_backend_says_why(monkeypatch):
     from repro.registry.engines import build_engine
 
     topo, cfg = Dragonfly1D.mini(), NetworkConfig()
-    mp = build_engine({"type": "mp-conservative", "partitions": 2,
-                       "backend": "inline"}, topo, cfg)
-    info = mp.describe()
-    assert info["ranks"] == "python" and "mp layout" in info["ranks_reason"]
     monkeypatch.setenv("UNION_ACCEL_DISABLE", "1")
     fallback = build_engine({"type": "accel-sequential"}, topo, cfg)
     info = fallback.describe()

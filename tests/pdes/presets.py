@@ -4,11 +4,10 @@ Tests that must hold for *every* engine iterate :data:`PRESETS` instead
 of naming classes, so they follow the registry's axes: a preset added
 to (or removed from) ``repro.registry.engines`` joins (or leaves) them
 without an edit here.  Windowed presets get three partitions of the
-mini 1D dragonfly, ``mp`` layouts the spawn-free ``inline`` transport,
-and ``compiled`` backends run twice -- as built on this host (the
-kernel, or its recorded fallback) and with the kernel disabled, so the
-``backend = "python"`` fallback the preset records is exercised on
-every host.
+mini 1D dragonfly, and ``compiled`` backends run twice -- as built on
+this host (the kernel, or its recorded fallback) and with the kernel
+disabled, so the ``backend = "python"`` fallback the preset records is
+exercised on every host.
 """
 
 import os
@@ -29,8 +28,6 @@ def _table(spec):
     table = {"type": spec.name}
     if spec.axes["windowing"] == "yawns":
         table["partitions"] = 3
-    if spec.axes["layout"] == "mp":
-        table["backend"] = "inline"
     return table
 
 

@@ -5,7 +5,7 @@ cross-validation model: under a fixed seed every registered engine
 preset -- and the Time Warp reference oracle kept in ``tests/pdes`` --
 must commit exactly the same event set: same per-LP counts, same
 timestamp checksums, same totals.  Then the contract every preset's
-engine keeps towards the layers above it (the six hooks, ``describe``,
+engine keeps towards the layers above it (the four hooks, ``describe``,
 the never-silent fallback, an accurate ``events_processed`` after a
 handler raised).  The last part pins the conservative engine's
 budget-stop and ``until`` semantics when the horizon lands
@@ -52,17 +52,15 @@ def test_every_preset_commits_identical_event_set(make, spec):
 
 #: Every key Engine.describe() may return (docs/engines.md).
 DESCRIBE_KEYS = {"partitions", "lookahead", "windows", "scheme",
-                 "mode", "fallback",
                  "backend", "backend_reason", "fabric", "fabric_reason",
                  "ranks", "ranks_reason"}
 
 
-HOOKS = ("adopt_fabric", "adopt_ranks", "bind_model_source", "bind_telemetry",
-         "describe", "close")
+HOOKS = ("adopt_fabric", "adopt_ranks", "bind_telemetry", "describe")
 
 
 @pytest.mark.parametrize("make, spec", PRESETS)
-def test_every_preset_answers_the_six_hooks(make, spec):
+def test_every_preset_answers_the_four_hooks(make, spec):
     from repro.telemetry import Telemetry
 
     eng = make()
@@ -71,12 +69,10 @@ def test_every_preset_answers_the_six_hooks(make, spec):
     t = Telemetry()
     eng.bind_telemetry(t)
     info = eng.describe()
-    eng.close()
     assert set(info) <= DESCRIBE_KEYS
     windowed = spec.axes["windowing"] == "yawns"
     assert ("windows" in info) == windowed == spec.partitioned
     assert (t.get("pdes.conservative.windows") is not None) == windowed
-    assert ("mode" in info) == (spec.axes["layout"] == "mp")
     assert ("backend" in info) == (spec.axes["backend"] == "compiled")
     # ... and where ranks could not run natively, they say why.
     if "ranks" in info:
@@ -125,7 +121,6 @@ def test_events_processed_survives_a_raising_handler(make, spec):
     eng.run(until=5.0)
     assert lp.handled == 5
     assert eng.events_processed == 4
-    eng.close()
 
 
 def test_conservative_per_partition_commits_sum_to_total():

@@ -252,17 +252,22 @@ def test_registered_custom_placement_reaches_the_manager():
 # -- engine registry ---------------------------------------------------------
 
 def test_engine_registry_roster():
-    from repro.registry import available_engines, engine_axes, engine_registry
+    from itertools import product
+
+    from repro.registry import (
+        ENGINE_AXES,
+        available_engines,
+        engine_axes,
+        engine_registry,
+    )
 
     assert available_engines() == ("sequential", "conservative",
-                                   "mp-conservative",
                                    "accel-sequential", "accel-conservative")
     assert engine_registry.canonical("seq") == "sequential"
     assert engine_registry.canonical("yawns") == "conservative"
-    assert engine_registry.canonical("mp") == "mp-conservative"
     assert engine_registry.canonical("fast") == "accel-sequential"
     assert engine_registry.canonical("fast-yawns") == "accel-conservative"
-    assert len(engine_registry.aliases()) == 5
+    assert len(engine_registry.aliases()) == 4
     seq = engine_registry.get("sequential")
     assert seq.axes == engine_axes()
     assert not seq.partitioned and seq.param_names() == ()
@@ -270,11 +275,6 @@ def test_engine_registry_roster():
     assert spec.axes == engine_axes(windowing="yawns")
     assert spec.partitioned
     assert spec.param_names() == ("partitions",)
-    mp = engine_registry.get("mp-conservative")
-    assert mp.axes == engine_axes(windowing="yawns", layout="mp")
-    assert mp.partitioned
-    assert mp.param_names() == ("partitions", "backend")
-    assert {p.name: p for p in mp.params}["backend"].choices == ("mp", "inline")
     acc = engine_registry.get("accel-sequential")
     assert acc.axes == engine_axes(backend="compiled")
     assert not acc.partitioned
@@ -283,9 +283,13 @@ def test_engine_registry_roster():
     assert acc_con.axes == engine_axes(windowing="yawns", backend="compiled")
     assert acc_con.partitioned
     assert acc_con.param_names() == ("partitions",)
-    # An [engine] table names an engine and a partition count (plus the
-    # mp transport); nothing the code derives itself is settable.
-    assert sum(len(s.params) for s in engine_registry) == 4
+    # An [engine] table names an engine and a partition count; nothing
+    # the code derives itself is settable.
+    assert sum(len(s.params) for s in engine_registry) == 2
+    # The presets are exactly windowing x backend.
+    assert len(ENGINE_AXES) == 2
+    assert sorted(tuple(s.axes.values()) for s in engine_registry) == sorted(
+        product(*ENGINE_AXES.values()))
     with pytest.raises(ValueError, match="windowing"):
         engine_axes(windowing="timewarp")
 

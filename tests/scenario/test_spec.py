@@ -194,7 +194,8 @@ def test_omitted_engine_table_stays_none():
     ({"type": "warp9"}, "unknown engine"),
     ({"type": "conservative", "partitions": 0}, "must be >= 1"),
     ({"type": "conservative", "partitions": "many"}, "expected an integer"),
-    ({"type": "mp-conservative", "backend": 2}, "expected a string"),
+    ({"type": "accel-conservative", "partitions": True},
+     "expected an integer, got True"),
     ({"type": "sequential", "partitions": 2}, "unknown parameter"),
     ({"type": "conservative", "window": 5}, "unknown parameter"),
 ])

@@ -267,16 +267,15 @@ def test_engines_lists_registry(capsys):
     out = capsys.readouterr().out
     assert "partitions" in out and "lookahead" in out
     assert "yawns -> conservative" in out
-    # Exactly the five presets, each row stating its three axes.
-    header, _rule, *rows = out.splitlines()[1:8]
-    assert [c.strip() for c in header.split("|")][:4] == [
-        "name", "windowing", "backend", "layout"]
-    assert [[c.strip() for c in r.split("|")][:4] for r in rows] == [
-        ["sequential", "none", "python", "in-process"],
-        ["conservative", "yawns", "python", "in-process"],
-        ["mp-conservative", "yawns", "python", "mp"],
-        ["accel-sequential", "none", "compiled", "in-process"],
-        ["accel-conservative", "yawns", "compiled", "in-process"],
+    # Exactly the four presets, each row stating its two axes.
+    header, _rule, *rows = out.splitlines()[1:7]
+    assert [c.strip() for c in header.split("|")][:3] == [
+        "name", "windowing", "backend"]
+    assert [[c.strip() for c in r.split("|")][:3] for r in rows] == [
+        ["sequential", "none", "python"],
+        ["conservative", "yawns", "python"],
+        ["accel-sequential", "none", "compiled"],
+        ["accel-conservative", "yawns", "compiled"],
     ]
 
 
@@ -305,6 +304,21 @@ def test_timewarp_is_not_an_engine_choice(capsys):
         main(["run", "--engine", "timewarp"])
     assert exc.value.code == 2
     assert "invalid choice: 'timewarp'" in capsys.readouterr().err
+
+
+def test_mp_conservative_is_not_an_engine_choice(capsys):
+    """There is no multi-process layout (docs/engines.md): neither its
+    name nor its alias resolves, on the CLI or in a spec."""
+    from repro.scenario import ScenarioError, parse_scenario
+
+    for name in ("mp-conservative", "mp"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--engine", name])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match="engine.type"):
+        parse_scenario({"jobs": [{"app": "nn"}],
+                        "engine": {"type": "mp-conservative"}})
 
 
 def test_run_with_conservative_engine_matches_sequential(capsys):

@@ -134,7 +134,7 @@ def test_engines_doc_drift_is_caught(check_docs, tmp_path):
 
 def test_engines_doc_preset_row_lists_exactly_its_params(check_docs, tmp_path):
     text = (REPO / "docs" / "engines.md").read_text()
-    row = "| `conservative` (`yawns`) | `yawns` | `python` | `in-process` | `partitions` |"
+    row = "| `conservative` (`yawns`) | `yawns` | `python` | `partitions` |"
     assert row in text
     p = tmp_path / "engines.md"
     p.write_text(text.replace(row, row[:-2] + ", `lookahead` |"))
