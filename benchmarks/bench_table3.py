@@ -2,16 +2,19 @@
 
 Prints the three workload mixes with their per-application rank counts
 and key parameters at both scales, and benchmarks job-list assembly
-(skeleton translation included on first use).
+(a Workload3 scenario spec parsed and wired into a manager, skeleton
+translation included on first use).
 """
 
 from benchmarks.conftest import banner, report
 from repro.harness.report import render_table
-from repro.workloads.catalog import WORKLOADS, app_catalog, build_jobs
+from repro.scenario import build_manager, parse_scenario
+from repro.workloads.catalog import WORKLOADS, app_catalog
 
 
 def test_benchmark_build_jobs(benchmark):
-    jobs = benchmark(build_jobs, "workload3", "mini")
+    data = {"jobs": [{"app": a} for a in WORKLOADS["workload3"].apps]}
+    jobs = benchmark(lambda: build_manager(parse_scenario(data)).jobs)
     assert len(jobs) == 5
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness.configs import COMBOS, NETWORKS, make_topology
-from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.configs import COMBOS, NETWORKS, make_topology, topology_table
+from repro.harness.experiment import ExperimentConfig, cell_result, cell_spec
 from repro.harness.report import engine_line, format_bytes, format_seconds, render_table
 from repro.harness.sweeps import latency_sweep, panel_stats
 from repro.registry import (
@@ -94,6 +94,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _run_errors() -> tuple[type[Exception], ...]:
+    """What bad input raises on the way to a result; each exits 2 with
+    one ``error:`` line."""
+    from repro.conceptual.errors import ConceptualError
+    from repro.placement.policies import PlacementError
+    from repro.scenario import ScenarioError
+
+    return (ScenarioError, PlacementError, ConceptualError, RegistryError, OSError)
+
+
 def _check_metrics_path(path: str | None) -> str | None:
     """Fail *before* simulating on an unwritable --metrics path."""
     if path is None:
@@ -140,7 +150,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.telemetry import JsonlSink, Telemetry
+    from repro.scenario import MetricsEntry, run_scenario
 
     if args.metrics_filter and not args.metrics:
         # A filter with nowhere to export is a silent no-op; refuse it.
@@ -162,22 +172,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine=engine_table["type"] if engine_table else None,
         partitions=args.partitions,
     )
-    telemetry = Telemetry() if args.metrics else None
     try:
-        # Capability mismatches (routing/placement the topology cannot
-        # run) surface here with the registry's choose-from message.
-        res = run_experiment(cfg, telemetry=telemetry)
-    except RegistryError as exc:
+        spec = cell_spec(cfg)
+        if args.metrics:
+            spec.metrics = MetricsEntry(jsonl=args.metrics,
+                                        filter=list(args.metrics_filter or ()))
+        res = cell_result(cfg, run_scenario(spec))
+    except _run_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if telemetry is not None:
-        try:
-            telemetry.export(JsonlSink(args.metrics), args.metrics_filter or None,
-                             meta={"network": cfg.network, "workload": cfg.workload,
-                                   "combo": cfg.combo, "seed": cfg.seed})
-        except OSError as exc:
-            print(f"error: --metrics: {exc}", file=sys.stderr)
-            return 2
+    if args.metrics:
         print(f"wrote {args.metrics}", file=sys.stderr)
     rows = []
     for name, a in res.apps.items():
@@ -258,28 +262,36 @@ def _cmd_systems(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.union.manager import Job, WorkloadManager
+    import os
+    import tempfile
+
+    from repro.scenario import parse_scenario, run_scenario
 
     _resolve_policy_defaults(args)
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
-    skel = translate(source, args.name)
-    topo = make_topology(args.network, args.scale)
-    storage_nodes = None
+    source = args.file
+    if source == "-":
+        with tempfile.NamedTemporaryFile("w", suffix=".ncptl", delete=False) as fh:
+            fh.write(sys.stdin.read())
+        source = fh.name
+    data: dict = {
+        "name": args.name,
+        "topology": topology_table(args.network, args.scale),
+        "routing": args.routing,
+        "placement": args.placement,
+        "seed": args.seed,
+        "horizon": args.horizon,
+        "jobs": [{"name": args.name, "source": source, "nranks": args.ntasks}],
+    }
     if args.storage_servers > 0:
-        storage_nodes = [topo.n_nodes - 1 - i for i in range(args.storage_servers)]
-    mgr = WorkloadManager(
-        topo,
-        routing=args.routing,
-        placement=args.placement,
-        seed=args.seed,
-        storage_nodes=storage_nodes,
-    )
-    mgr.add_job(Job(args.name, args.ntasks, skeleton=skel))
+        data["storage"] = {"servers": args.storage_servers}
     try:
-        outcome = mgr.run(until=args.horizon)
-    except RegistryError as exc:
+        outcome = run_scenario(parse_scenario(data)).outcome
+    except _run_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.file == "-":
+            os.unlink(source)
     res = outcome.app(args.name).result
     lat = res.max_latencies_per_rank()
     print(render_table(
@@ -296,23 +308,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         title=f"{args.name} on {args.network} "
               f"({args.placement}-{args.routing}, {args.ntasks} ranks)",
     ))
+    mgr = outcome.manager
     if mgr.storage is not None:
         st = mgr.storage.app_stats(0)
         print(f"\nI/O: {st.ops} ops, read {format_bytes(st.bytes_read)}, "
               f"wrote {format_bytes(st.bytes_written)}, "
               f"mean latency {format_seconds(st.mean_latency())} "
-              f"(servers at nodes {storage_nodes})")
+              f"(servers at nodes {mgr.storage_nodes})")
     return 0 if res.finished else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
 
-    from repro.conceptual.errors import ConceptualError
-    from repro.placement.policies import PlacementError
     from repro.scenario import (
         MetricsEntry,
-        ScenarioError,
         load_scenario,
         parse_engine_table,
         render_scenario_report,
@@ -350,8 +360,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         # unwritable [metrics] jsonl path (OSError) -- all after-the-
         # fact errors the user should see cleanly.
         result = run_scenario(spec)
-    except (ScenarioError, PlacementError, ConceptualError, RegistryError,
-            OSError) as exc:
+    except _run_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_scenario_report(result))
@@ -428,10 +437,8 @@ def _cmd_env(args: argparse.Namespace) -> int:
     import json
     import math
 
-    from repro.conceptual.errors import ConceptualError
-    from repro.placement.policies import PlacementError
     from repro.registry import policy_registry
-    from repro.scenario import ScenarioError, load_scenario
+    from repro.scenario import load_scenario
 
     if args.spec is None:
         # Roster mode: the policy registry plus the action alphabet.
@@ -496,8 +503,7 @@ def _cmd_env(args: argparse.Namespace) -> int:
             actions=list(args.action) if args.action else None,
             on_step=on_step,
         )
-    except (ScenarioError, PlacementError, ConceptualError, RegistryError,
-            ValueError, OSError) as exc:
+    except (*_run_errors(), ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_table(

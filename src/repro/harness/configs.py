@@ -58,6 +58,12 @@ def make_topology(network: str, scale: str = "mini"):
         ) from None
 
 
+def topology_table(network: str, scale: str = "mini") -> dict[str, str]:
+    """The scenario ``[topology]`` table: ``network`` sugar for the
+    paper's dragonflies, the registry ``type`` form otherwise."""
+    return {"network" if network in NETWORKS else "type": network, "scale": scale}
+
+
 def topology_spec(network: str) -> TopologySpec:
     """The registry spec behind a network name or alias."""
     spec = topology_registry.get(network)

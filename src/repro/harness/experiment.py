@@ -2,24 +2,28 @@
 
 One :class:`ExperimentConfig` = one simulated system under one workload
 with one placement-routing combination -- a single cell of the paper's
-sweep.  Results are reduced to plain data (:class:`ExperimentResult`)
-and memoized per process so Figure 7, Figure 9 and Table VI benches can
+sweep.  :func:`cell_spec` turns a cell into a scenario spec, which
+:func:`repro.scenario.runner.run_scenario` runs like any other; the
+result is reduced to plain data (:class:`ExperimentResult`) and
+memoized per process so Figure 7, Figure 9 and Table VI benches can
 share the same runs instead of re-simulating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.harness.configs import default_counter_window, default_horizon, make_topology
+from repro.harness.configs import default_horizon, topology_table
 from repro.harness.metrics import BoxStats, boxplot_stats
 from repro.registry import default_engine_info
-from repro.telemetry import Telemetry
-from repro.union.manager import WorkloadManager
-from repro.workloads.catalog import app_catalog, build_baseline_job, build_jobs
+from repro.workloads.catalog import WORKLOADS, app_catalog
+
+if TYPE_CHECKING:
+    from repro.scenario.runner import ScenarioResult
+    from repro.scenario.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class ExperimentConfig:
                 "engine=\"conservative\") to run partitioned")
 
     def engine_table(self) -> dict | None:
-        """The ``[engine]``-style table this cell's manager consumes."""
+        """The ``[engine]`` table of this cell's scenario spec."""
         if self.engine is None:
             return None
         table: dict = {"type": self.engine}
@@ -124,49 +128,44 @@ def prime_cache(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     _CACHE.setdefault(cfg, result)
 
 
-def run_experiment(cfg: ExperimentConfig, telemetry: Telemetry | None = None) -> ExperimentResult:
-    """Run (or fetch from cache) one sweep cell.
+def cell_spec(cfg: ExperimentConfig) -> ScenarioSpec:
+    """The scenario spec one sweep cell runs (``ScenarioError`` for an
+    unknown workload or application, or a policy the network lacks)."""
+    # scenario.spec imports repro.harness.configs: import it late.
+    from repro.scenario.spec import ScenarioError, parse_scenario
 
-    Passing a :class:`~repro.telemetry.Telemetry` session forces a
-    fresh simulation recorded into it (a memoized result carries no
-    live instruments to export), bypassing the cache read.
-    """
-    if telemetry is None:
-        hit = _CACHE.get(cfg)
-        if hit is not None:
-            return hit
-    topo = make_topology(cfg.network, cfg.scale)
-    window = default_counter_window()
-    mgr = WorkloadManager(
-        topo,
-        routing=cfg.routing,
-        placement=cfg.placement,
-        seed=cfg.seed,
-        counter_window=window,
-        telemetry=telemetry,
-        engine=cfg.engine_table(),
-    )
     if cfg.workload.startswith("baseline:"):
-        mgr.add_job(build_baseline_job(cfg.workload.split(":", 1)[1], cfg.scale))
+        apps = [cfg.workload.split(":", 1)[1]]
+    elif cfg.workload in WORKLOADS:
+        apps = WORKLOADS[cfg.workload].apps
     else:
-        for job in build_jobs(cfg.workload, cfg.scale):
-            mgr.add_job(job)
-    horizon = cfg.resolved_horizon()
-    # Explicit session lifecycle (build / step / finalize) -- the same
-    # path mgr.run() wraps, spelled out where the harness is the
-    # canonical in-repo example of driving a run.
-    session = mgr.session()
-    session.build()
-    session.step(until=horizon)
-    outcome = session.finalize()
+        raise ScenarioError(
+            f"unknown workload {cfg.workload!r}; expected one of "
+            f"{sorted(WORKLOADS)} or baseline:<app>")
+    data: dict[str, Any] = {
+        "name": f"{cfg.workload}-{cfg.network}-{cfg.combo}",
+        "topology": topology_table(cfg.network, cfg.scale),
+        "routing": cfg.routing,
+        "placement": cfg.placement,
+        "seed": cfg.seed,
+        "horizon": cfg.resolved_horizon(),
+        "jobs": [{"app": app} for app in apps],
+    }
+    if (engine := cfg.engine_table()) is not None:
+        data["engine"] = engine
+    return parse_scenario(data)
 
+
+def cell_result(cfg: ExperimentConfig, result: ScenarioResult) -> ExperimentResult:
+    """Reduce one cell's scenario run to :class:`ExperimentResult`."""
+    outcome = result.outcome
     catalog = app_catalog(cfg.scale)
     apps: dict[str, AppStats] = {}
     for a in outcome.apps:
         r = a.result
         apps[a.name] = AppStats(
             name=a.name,
-            ml=catalog[a.name].ml if a.name in catalog else False,
+            ml=catalog[a.name].ml,
             nranks=r.nranks,
             finished=r.finished,
             max_latency_box=boxplot_stats(r.max_latencies_per_rank()),
@@ -182,24 +181,28 @@ def run_experiment(cfg: ExperimentConfig, telemetry: Telemetry | None = None) ->
     for serving in outcome.apps:
         for source in outcome.apps:
             series[(serving.name, source.name)] = outcome.fabric.app_counter.series(
-                serving.routers, source.app_id, horizon
+                serving.routers, source.app_id, result.horizon
             )
-    engine = outcome.fabric.engine
-    table = cfg.engine_table()
-    result = ExperimentResult(
+    return ExperimentResult(
         config=cfg,
         apps=apps,
-        end_time=outcome.end_time,
-        events=engine.events_processed,
-        link_summary=outcome.link_load_summary(),
-        counter_window=window,
+        end_time=result.end_time,
+        events=result.events,
+        link_summary=result.link_summary,
+        counter_window=outcome.manager.counter_window,
         router_series=series,
-        engine=({**table, **engine.describe()} if table
-                else default_engine_info(engine)),
+        engine=result.engine or default_engine_info(outcome.fabric.engine),
     )
-    if telemetry is None:
-        # A custom session may disable instrument families, zeroing the
-        # measured series/link summary -- memoizing that would poison
-        # later plain calls for the same cell.
-        _CACHE[cfg] = result
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run (or fetch from cache) one sweep cell."""
+    hit = _CACHE.get(cfg)
+    if hit is not None:
+        return hit
+    # scenario.runner imports repro.harness.configs: import it late.
+    from repro.scenario.runner import run_scenario
+
+    result = cell_result(cfg, run_scenario(cell_spec(cfg)))
+    _CACHE[cfg] = result
     return result

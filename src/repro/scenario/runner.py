@@ -128,8 +128,7 @@ def build_manager(spec: ScenarioSpec) -> WorkloadManager:
                 f"storage.servers: {spec.storage.servers} servers do not fit "
                 f"the topology's {topo.n_nodes} nodes"
             )
-        # The last N terminal nodes host the servers, exactly as
-        # ``union-sim simulate --storage-servers`` attaches them.
+        # The last N terminal nodes host the servers.
         storage_nodes = [topo.n_nodes - 1 - i for i in range(spec.storage.servers)]
     mgr = WorkloadManager(
         topo,

@@ -24,7 +24,7 @@ from repro.workloads.lammps import lammps
 from repro.workloads.hotspot import hotspot
 from repro.workloads.uniform_random import uniform_random
 from repro.workloads.io_patterns import checkpointer, io_benchmark, ml_reader
-from repro.workloads.catalog import WORKLOADS, AppSpec, WorkloadSpec, build_jobs, app_catalog
+from repro.workloads.catalog import WORKLOADS, AppSpec, WorkloadSpec, app_catalog
 
 __all__ = [
     "COSMOFLOW_SOURCE",
@@ -48,6 +48,5 @@ __all__ = [
     "WORKLOADS",
     "AppSpec",
     "WorkloadSpec",
-    "build_jobs",
     "app_catalog",
 ]

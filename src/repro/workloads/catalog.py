@@ -1,8 +1,11 @@
 """Workload catalog: Table III mixes at paper and mini scale.
 
-``app_catalog(scale)`` returns per-application specs;
-``build_jobs(workload, scale)`` assembles the Job list for one of the
-paper's three hybrid workloads (plus per-app baselines).
+``app_catalog(scale)`` returns per-application specs and ``WORKLOADS``
+names the applications of the paper's three hybrid workloads.  This is
+plain data: a scenario job ``{app = "milc"}`` names a catalog entry, and
+:func:`repro.scenario.runner.build_manager` alone turns it into a
+:class:`~repro.union.manager.Job`; a harness sweep cell is such a
+scenario (:func:`repro.harness.experiment.cell_spec`).
 
 Scales
 ------
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.union.manager import Job
 from repro.workloads.alexnet import ALEXNET_PAPER, alexnet_skeleton
 from repro.workloads.cosmoflow import COSMOFLOW_PAPER, cosmoflow_skeleton
 from repro.workloads.lammps import LAMMPS_PAPER, lammps
@@ -41,13 +43,6 @@ class AppSpec:
     skeleton_factory: Callable | None = None
     program: Callable | None = None
     ml: bool = False  # ML vs HPC classification used in the analysis
-
-    def to_job(self) -> Job:
-        if self.kind == "skeleton":
-            assert self.skeleton_factory is not None
-            return Job(self.name, self.nranks, skeleton=self.skeleton_factory(), params=dict(self.params))
-        assert self.program is not None
-        return Job(self.name, self.nranks, program=self.program, params=dict(self.params))
 
 
 @dataclass
@@ -147,18 +142,3 @@ def app_catalog(scale: str = "mini") -> dict[str, AppSpec]:
     if scale == "mini":
         return _mini_catalog()
     raise ValueError(f"unknown scale {scale!r}; expected 'paper' or 'mini'")
-
-
-def build_jobs(workload: str, scale: str = "mini") -> list[Job]:
-    """Jobs for one Table III workload at the requested scale."""
-    try:
-        spec = WORKLOADS[workload]
-    except KeyError:
-        raise KeyError(f"unknown workload {workload!r}; have {sorted(WORKLOADS)}") from None
-    catalog = app_catalog(scale)
-    return [catalog[name].to_job() for name in spec.apps]
-
-
-def build_baseline_job(app: str, scale: str = "mini") -> Job:
-    """A single application running alone (the grey baseline boxes)."""
-    return app_catalog(scale)[app].to_job()

@@ -6,6 +6,7 @@ import pytest
 from repro.harness.configs import COMBOS, make_topology, default_horizon
 from repro.harness.experiment import (
     ExperimentConfig,
+    cell_spec,
     clear_cache,
     run_experiment,
 )
@@ -87,6 +88,45 @@ def test_router_series_shape():
     expected_bins = int(np.ceil(cfg.resolved_horizon() / res.counter_window))
     assert len(series) == expected_bins
     assert series.sum() > 0
+
+
+def test_cell_agrees_with_its_scenario_json():
+    from repro.scenario import run_scenario
+
+    cfg = ExperimentConfig(network="1d", workload="workload3", placement="rg", routing="adp")
+    res = run_experiment(cfg)
+    doc = run_scenario(cell_spec(cfg)).to_json_dict()
+    assert doc["events"] == res.events
+    assert doc["end_time"] == res.end_time
+    assert doc["link_summary"] == res.link_summary
+    jobs = {j["name"]: j for j in doc["jobs"]}
+    assert set(jobs) == set(res.apps)
+    for name, app in res.apps.items():
+        assert jobs[name]["messages"] == app.messages
+        assert jobs[name]["avg_latency"] == app.avg_latency
+        assert jobs[name]["max_comm_time"] == app.max_comm_time
+
+
+def test_every_sweep_cell_has_a_distinct_round_tripping_spec():
+    from repro.harness.configs import NETWORKS
+    from repro.scenario import parse_scenario
+    from repro.service.cache import spec_digest
+    from repro.workloads.catalog import PANEL_APPS, WORKLOADS
+
+    # latency_sweep's default grid: every network x combo x (baselines + workloads).
+    workloads = [f"baseline:{a}" for a in PANEL_APPS] + list(WORKLOADS)
+    cells = [
+        ExperimentConfig(network=n, workload=w, placement=c.split("-")[0],
+                         routing=c.split("-")[1])
+        for n in NETWORKS for c in COMBOS for w in workloads
+    ]
+    assert len(cells) == 2 * 6 * (5 + 3)
+    digests = set()
+    for cfg in cells:
+        spec = cell_spec(cfg)
+        assert parse_scenario(spec.to_dict()) == spec
+        digests.add(spec_digest(spec))
+    assert len(digests) == len(cells)
 
 
 def test_config_helpers():

@@ -338,29 +338,3 @@ def test_instrumented_example_spec_validates():
     assert set(spec.metrics.enable_families()) == {
         "net.router.queue", "mpi.job.msg_latency",
     }
-
-
-def test_run_experiment_with_telemetry_bypasses_cache():
-    from repro.harness.experiment import ExperimentConfig, run_experiment
-
-    cfg = ExperimentConfig(workload="baseline:nn", placement="rn", routing="min")
-    t = Telemetry()
-    res = run_experiment(cfg, telemetry=t)
-    assert t.get(job_key("nn", "finished")).value == 1
-    assert t.get("net.fabric.messages_sent").value > 0
-    # The cached path still works and agrees.
-    res2 = run_experiment(cfg)
-    assert res2.apps["nn"].messages == res.apps["nn"].messages
-
-
-def test_run_experiment_disabled_telemetry_does_not_poison_cache():
-    from repro.harness.experiment import ExperimentConfig, clear_cache, run_experiment
-
-    clear_cache()
-    cfg = ExperimentConfig(workload="baseline:nn", placement="rn", routing="min",
-                           seed=4)
-    muted = run_experiment(cfg, telemetry=Telemetry(disable=("net.*",)))
-    assert muted.link_summary["local_total_bytes"] == 0  # nothing recorded
-    # A later plain call must re-simulate, not return the muted result.
-    plain = run_experiment(cfg)
-    assert plain.link_summary["local_total_bytes"] > 0

@@ -80,6 +80,41 @@ def test_simulate_io_without_storage_fails(tmp_path):
         main(["simulate", str(p), "--ntasks", "2"])
 
 
+def test_simulate_stdin_matches_the_file_form(capsys, monkeypatch, pingpong_file,
+                                              tmp_path):
+    import io
+    import tempfile
+
+    assert main(["simulate", pingpong_file, "--ntasks", "2", "--name", "pp"]) == 0
+    from_file = capsys.readouterr().out
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr("sys.stdin", io.StringIO(PINGPONG_SOURCE))
+    assert main(["simulate", "-", "--ntasks", "2", "--name", "pp"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert list(scratch.iterdir()) == []  # the stdin copy is gone
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--workload", "nosuch"], "unknown workload 'nosuch'"),
+    (["run", "--workload", "baseline:nosuch"], "unknown application 'nosuch'"),
+    (["simulate", "{bad}"], "expected a task expression"),
+    (["simulate", "{missing}"], "source file not found"),
+    (["simulate", "{pingpong}", "--ntasks", "0"], "nranks: must be >= 1"),
+], ids=["unknown-workload", "unknown-baseline-app", "unparsable-source",
+        "missing-source", "zero-ranks"])
+def test_bad_input_is_one_error_line(capsys, tmp_path, pingpong_file, argv, message):
+    bad = tmp_path / "bad.ncptl"
+    bad.write_text("this is not coNCePTuaL\n")
+    paths = {"bad": str(bad), "missing": str(tmp_path / "missing.ncptl"),
+             "pingpong": pingpong_file}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 SCENARIO_TOML = """\
 name = "cli-demo"
 horizon = 0.01
@@ -149,7 +184,9 @@ def test_run_metrics_flags(capsys, tmp_path):
                  "--routing", "min", "--metrics", str(out),
                  "--metrics-filter", "mpi.job.*"]) == 0
     lines = out.read_text().splitlines()
-    assert json.loads(lines[0])["workload"] == "baseline:nn"
+    header = json.loads(lines[0])
+    assert header["scenario"] == "baseline:nn-1d-rn-min"
+    assert header["seed"] == 1
     keys = [json.loads(l)["key"] for l in lines[1:]]
     assert keys and all(k.startswith("mpi.job.nn.") for k in keys)
 

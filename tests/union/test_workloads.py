@@ -7,13 +7,9 @@ from repro.network.config import NetworkConfig
 from repro.network.dragonfly import Dragonfly1D
 from repro.network.fabric import NetworkFabric
 from repro.workloads.base import grid_coords, grid_rank, torus_neighbors
-from repro.workloads.catalog import (
-    PANEL_APPS,
-    WORKLOADS,
-    app_catalog,
-    build_baseline_job,
-    build_jobs,
-)
+from repro.harness.experiment import ExperimentConfig, cell_spec
+from repro.scenario import ScenarioError, build_manager, parse_scenario
+from repro.workloads.catalog import PANEL_APPS, WORKLOADS, app_catalog
 from repro.workloads.lammps import lammps
 from repro.workloads.milc import milc
 from repro.workloads.nearest_neighbor import nearest_neighbor
@@ -152,14 +148,21 @@ def test_ml_flags():
 
 
 def test_build_jobs():
-    jobs = build_jobs("workload3", "mini")
-    assert [j.name for j in jobs] == WORKLOADS["workload3"].apps
-    with pytest.raises(KeyError, match="unknown workload"):
-        build_jobs("workload9")
+    apps = WORKLOADS["workload3"].apps
+    jobs = build_manager(parse_scenario({"jobs": [{"app": a} for a in apps]})).jobs
+    assert [j.name for j in jobs] == apps
+    cat = app_catalog("mini")
+    for job in jobs:
+        assert (job.skeleton is not None) == (cat[job.name].kind == "skeleton")
+        assert job.nranks == cat[job.name].nranks
+    with pytest.raises(ScenarioError, match="unknown workload"):
+        cell_spec(ExperimentConfig(workload="workload9"))
+    with pytest.raises(ScenarioError, match="unknown application"):
+        parse_scenario({"jobs": [{"app": "nosuch"}]})
 
 
 def test_build_baseline_job():
-    job = build_baseline_job("milc", "mini")
+    (job,) = build_manager(cell_spec(ExperimentConfig(workload="baseline:milc"))).jobs
     assert job.name == "milc"
     assert job.program is not None
 
