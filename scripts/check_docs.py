@@ -33,9 +33,8 @@ Three invariants keep the docs honest:
    (:data:`repro.scenario.FAULT_KINDS`), every scenario generator and
    every fuzz invariant (:data:`repro.fuzz.INVARIANTS`), so the
    fault/fuzz reference cannot drift from the code.
-8. ``docs/service.md`` must name every job lifecycle state, every
-   checkpoint-file key (and the exact format tag), the cache entry's
-   file names and the cache telemetry counters, so the service
+8. ``docs/service.md`` must name every job lifecycle state, the cache
+   entry's file names and the cache telemetry counters, so the service
    reference cannot drift from :mod:`repro.service`.
 
 Run directly (``python scripts/check_docs.py``) or via pytest
@@ -278,23 +277,21 @@ def check_faults_doc(path: Path = DOCS / "faults.md") -> int:
 def check_service_doc(path: Path = DOCS / "service.md") -> int:
     """docs/service.md must name the service's durable surface.
 
-    Every job lifecycle state, every checkpoint-file key plus the exact
-    format tag, the cache entry's three file names and the cache
-    telemetry counters must appear backtick-quoted.  Returns the number
-    of names checked.
+    Every job lifecycle state, the cache entry's three file names and
+    the cache telemetry counters must appear backtick-quoted.  Returns
+    the number of names checked.
     """
-    from repro.service import CHECKPOINT_FORMAT, JobState
-    from repro.service.checkpoint import CHECKPOINT_KEYS
+    from repro.service import JobState
 
     text = path.read_text()
     names = [state.value for state in JobState]
-    names += list(CHECKPOINT_KEYS) + [CHECKPOINT_FORMAT]
     names += ["spec.toml", "result.json", "telemetry.jsonl",
               "cache.hit", "cache.miss"]
     missing = [n for n in names if f"`{n}`" not in text]
     assert not missing, (
-        f"{path} does not mention service state/key/file name(s) {missing}; "
-        "update the service reference (names must be backtick-quoted)"
+        f"{path} does not mention service state/file/counter name(s) "
+        f"{missing}; update the service reference (names must be "
+        "backtick-quoted)"
     )
     return len(names)
 
@@ -315,7 +312,7 @@ def main() -> int:
           f"engines.md names all {e} engines/parameters; "
           f"env.md names all {v} policies/observation fields; "
           f"faults.md names all {f} fault kinds/generators/invariants; "
-          f"service.md names all {s} states/checkpoint keys/cache files")
+          f"service.md names all {s} states/cache files/counters")
     return 0
 
 

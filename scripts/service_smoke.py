@@ -2,18 +2,17 @@
 """End-to-end durability drill for the simulation service (CI smoke).
 
 Boots a real :class:`~repro.service.server.SimulationServer` (spawned
-worker pool, mid-run checkpointing on) with the HTTP transport in
-front, then drives the whole stack through a
+worker pool) with the HTTP transport in front, then drives the whole stack through a
 :class:`~repro.service.client.ServiceClient` -- the same path
 ``union-sim submit`` rides:
 
 1. submit a tiny scenario and wait: a cold run on the pool;
 2. resubmit the identical spec: must answer instantly from the
    content-addressed result cache (``cached = true``, zero attempts);
-3. submit a long scenario, wait for its worker to commit a checkpoint
-   cursor, then SIGKILL the worker mid-run: the monitor must respawn
-   the slot and resume the job from the cursor;
-4. assert the resumed result document equals an uncached in-process
+3. submit a long scenario, wait until a worker is running it, then
+   SIGKILL that worker mid-run: the monitor must respawn the slot and
+   requeue the job, which re-runs from its journaled spec;
+4. assert the re-run result document equals an uncached in-process
    ``run_scenario`` baseline **bit for bit** -- the durability claim
    of docs/service.md.
 
@@ -42,12 +41,12 @@ TINY = {
     "jobs": [{"app": "nn", "params": {"iters": 2}}],
 }
 
-#: Endless uniform traffic over a long horizon: slow enough (~1s wall)
-#: that the monitor can observe it running and kill its worker mid-run.
+#: Endless uniform traffic over a long horizon: slow enough (over 1 s
+#: wall) that a kill lands mid-run, well inside the monitor's 0.1 s tick.
 LONG = {
     "name": "smoke-long",
     "seed": 5,
-    "horizon": 0.3,
+    "horizon": 1.5,
     "jobs": [{"app": "ur", "name": "ur0"}],
 }
 
@@ -85,8 +84,7 @@ def main(argv=None) -> int:
     baseline = run_scenario(
         parse_scenario(dict(LONG), name=LONG["name"])).to_json_dict()
 
-    with SimulationServer(state, workers=args.workers,
-                          checkpoint_interval=0.01) as server:
+    with SimulationServer(state, workers=args.workers) as server:
         http = ServiceHTTPServer(server).start()
         try:
             client = ServiceClient(http.url)
@@ -107,21 +105,19 @@ def main(argv=None) -> int:
             job_id = client.submit(LONG)["job_id"]
             pid = wait_for(lambda: client.status(job_id).get("pid"),
                            what="long job running on a worker")
-            wait_for(server.checkpoint_path(job_id).is_file,
-                     what="checkpoint cursor on disk")
             os.kill(pid, signal.SIGKILL)
             done = client.wait(job_id, timeout=180.0)
             assert done["state"] == "done", done
             assert done["attempts"] == 2, done
-            assert "resuming from checkpoint" in (done["error"] or ""), done
-            print(f"PASS kill/resume: worker {pid} SIGKILLed mid-run; "
-                  f"{job_id} resumed and finished "
+            assert "re-running from its spec" in (done["error"] or ""), done
+            print(f"PASS kill/requeue: worker {pid} SIGKILLed mid-run; "
+                  f"{job_id} re-ran and finished "
                   f"(attempts={done['attempts']})")
 
-            resumed = client.result(job_id)
-            assert resumed == baseline, \
-                "FAIL: resumed result differs from the uncached baseline"
-            print("PASS bit-identical: resumed result == uncached "
+            rerun = client.result(job_id)
+            assert rerun == baseline, \
+                "FAIL: re-run result differs from the uncached baseline"
+            print("PASS bit-identical: re-run result == uncached "
                   "in-process baseline")
 
             stats = client.stats()

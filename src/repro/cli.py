@@ -612,17 +612,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import SimulationServer
     from repro.service.http import ServiceHTTPServer
 
-    if args.checkpoint_interval is not None and args.checkpoint_interval <= 0:
-        print(f"error: --checkpoint-interval must be > 0, got "
-              f"{args.checkpoint_interval:g}", file=sys.stderr)
-        return 2
     try:
-        server = SimulationServer(
-            args.state,
-            workers=args.workers,
-            cache_dir=args.cache,
-            checkpoint_interval=args.checkpoint_interval,
-        )
+        server = SimulationServer(args.state, workers=args.workers,
+                                  cache_dir=args.cache)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -858,8 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate scenarios from a registered generator over "
                     "a contiguous seed range, run each one, and check the "
                     "invariant roster (conservation, no stuck jobs, "
-                    "determinism, engine parity, monotone clocks); failing "
-                    "cases are shrunk to a minimal TOML repro.")
+                    "determinism, engine parity, stepping, monotone "
+                    "clocks); failing cases are shrunk to a minimal TOML "
+                    "repro.")
     f.add_argument("--seeds", type=int, default=50, metavar="N",
                    help="seeds to sweep (default 50)")
     f.add_argument("--base-seed", type=int, default=0, metavar="S",
@@ -887,11 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the persistent simulation service",
         description="Bind the HTTP job API in front of a persistent worker "
                     "pool with a durable job journal, a content-addressed "
-                    "result cache and checkpoint/resume crash recovery "
-                    "(docs/service.md).")
+                    "result cache and crash recovery: a dead worker's job "
+                    "re-runs from its journaled spec (docs/service.md).")
     sv.add_argument("--state", default="service-state", metavar="DIR",
-                    help="service state directory: job journal, checkpoint "
-                         "cursors and (by default) the result cache")
+                    help="service state directory: job journal and (by "
+                         "default) the result cache")
     sv.add_argument("--workers", type=int, default=2, metavar="N",
                     help="persistent worker processes (default 2)")
     sv.add_argument("--host", default="127.0.0.1",
@@ -901,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--cache", default=None, metavar="DIR",
                     help="result-cache directory (default: STATE/cache; "
                          "share one across services to share results)")
-    sv.add_argument("--checkpoint-interval", type=float, default=None,
-                    metavar="SECONDS",
-                    help="write a checkpoint cursor every SECONDS of "
-                         "simulated time (default: only at the horizon)")
     sv.set_defaults(fn=_cmd_serve)
 
     u = sub.add_parser(

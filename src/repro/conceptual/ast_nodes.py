@@ -330,6 +330,3 @@ class Program:
     asserts: list[AssertDecl]
     body: StmtSeq
     source_name: str = "<string>"
-
-    def param_defaults(self) -> dict[str, Expr]:
-        return {p.name: p.default for p in self.params}

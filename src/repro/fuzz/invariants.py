@@ -28,12 +28,12 @@ touching the harness.
     compiled kernel) exactly, modulo the ``engine`` stanza
     (:mod:`repro.scenario.oracle`).  Checked on sampled cases only
     (each engine adds a full run); :attr:`FuzzContext.parity` gates it.
-``checkpoint_resume``
-    Checkpointing mid-horizon, abandoning the session (the fuzz
-    stand-in for a killed worker) and resuming from the cursor yields
-    result JSON bit-identical to the straight-through run -- the
-    property :mod:`repro.service` stakes its durability story on.
-    Sampled with the parity cases (it re-runs the scenario ~1.5x).
+``stepping``
+    Driving the session by hand -- ``step(horizon / 2)``,
+    ``step(horizon)``, ``finalize()`` -- yields result JSON
+    bit-identical to the one-shot run (the engines' stepping-parity
+    contract, which :class:`repro.env.SimulationEnv` episodes rely on).
+    Sampled with the parity cases (it re-runs the scenario once).
 ``monotone_clocks``
     All reported times are finite and non-negative, the run clock never
     exceeds the horizon, and per-job max latency dominates the average.
@@ -47,7 +47,12 @@ import math
 from typing import Any, Callable, Mapping
 
 from repro.scenario import oracle, parse_scenario
-from repro.scenario.runner import ScenarioResult, run_scenario
+from repro.scenario.runner import (
+    ScenarioResult,
+    build_manager,
+    reduce_scenario_result,
+    run_scenario,
+)
 
 #: Slack for float comparisons on reported clocks.
 _EPS = 1e-9
@@ -157,34 +162,19 @@ def check_parity(ctx: FuzzContext) -> list[str]:
     return out
 
 
-def check_checkpoint_resume(ctx: FuzzContext) -> list[str]:
+def check_stepping(ctx: FuzzContext) -> list[str]:
     if not ctx.parity:
         return []
-    import tempfile
-    from pathlib import Path
-
-    from repro.service.checkpoint import (
-        resume_from_checkpoint,
-        run_checkpointed,
-    )
-
     baseline = json.dumps(ctx.run().to_json_dict(), sort_keys=True)
     data = copy.deepcopy(ctx.mapping)
-    name = data.get("name", "fuzz-case")
-    spec = parse_scenario(data, name=name)
-    with tempfile.TemporaryDirectory() as td:
-        path = Path(td) / "cursor.json"
-        # Checkpoint at mid-horizon, abandon, resume -- the killed-
-        # worker lifecycle without the nondeterministic SIGKILL timing.
-        aborted = run_checkpointed(spec, path, interval=spec.horizon / 2,
-                                   stop_after=1)
-        if aborted is not None or not path.is_file():
-            return ["run_checkpointed(stop_after=1) failed to leave a "
-                    "mid-horizon checkpoint cursor"]
-        resumed = resume_from_checkpoint(path)
-    if json.dumps(resumed.to_json_dict(), sort_keys=True) != baseline:
-        return ["checkpoint/resume produced result JSON different from "
-                "the straight-through run"]
+    spec = parse_scenario(data, name=data.get("name", "fuzz-case"))
+    session = build_manager(spec).session().build()
+    session.step(until=spec.horizon / 2)
+    session.step(until=spec.horizon)
+    stepped = reduce_scenario_result(spec, session.finalize())
+    if json.dumps(stepped.to_json_dict(), sort_keys=True) != baseline:
+        return ["stepping to mid-horizon and on produced result JSON "
+                "different from the one-shot run"]
     return []
 
 
@@ -214,6 +204,6 @@ INVARIANTS: dict[str, Callable[[FuzzContext], list[str]]] = {
     "no_stuck_jobs": check_no_stuck_jobs,
     "determinism": check_determinism,
     "parity": check_parity,
-    "checkpoint_resume": check_checkpoint_resume,
+    "stepping": check_stepping,
     "monotone_clocks": check_monotone_clocks,
 }

@@ -72,9 +72,6 @@ class Packet:
     def dst_router(self) -> int:
         return self.path[-1]
 
-    def at_last_router(self) -> bool:
-        return self.hop == len(self.path) - 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet(pid={self.pid}, msg={self.msg_id}, app={self.app_id}, "

@@ -75,9 +75,6 @@ class PartitionPlan:
             "register control LPs with an explicit partition= hint"
         )
 
-    def routers_of(self, partition: int) -> list[int]:
-        return [r for r, p in enumerate(self.part_of_router) if p == partition]
-
     def describe(self) -> dict[str, Any]:
         sizes = [0] * self.n_partitions
         for p in self.part_of_router:

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: persistent server, result cache, resume.
+"""Simulation-as-a-service: persistent server, result cache, recovery.
 
 The serving layer the ROADMAP's "heavy traffic" north star asks for.
 One CLI invocation per scenario does not scale to many concurrent
@@ -9,10 +9,6 @@ long-lived service:
   store keyed on the canonical-TOML hash of the spec
   (:func:`spec_digest`), with hit/miss telemetry and stored-row replay
   into the caller's sinks;
-* :mod:`repro.service.checkpoint` -- deterministic-replay checkpoints
-  over the :class:`~repro.union.session.SimulationSession` step
-  lifecycle, so killed workers resume mid-horizon jobs bit-identically
-  (:func:`run_checkpointed` / :func:`resume_from_checkpoint`);
 * :mod:`repro.service.api`        -- the in-process :class:`SubmitAPI`
   service layer (submit/status/result/cancel) that the server, the CLI
   client and tests all share, plus :func:`execute_spec`, the one
@@ -21,32 +17,23 @@ long-lived service:
   (:class:`JobRecord` / :class:`JobStore`), durable across restarts;
 * :mod:`repro.service.server`     -- :class:`SimulationServer`, a
   persistent worker pool (warm interpreters, spawn context) behind an
-  async job queue with dead-worker detection and checkpoint resume;
+  async job queue with dead-worker detection; a dead worker's job is
+  requeued and re-run from its journaled spec;
 * :mod:`repro.service.http`       -- the stdlib HTTP transport
   (``union-sim serve``) and :mod:`repro.service.client` -- the urllib
   client (``union-sim submit`` / ``union-sim jobs``).
 
-See ``docs/service.md`` for the server model, cache keying and the
-checkpoint format + compatibility policy.
+See ``docs/service.md`` for the server model, cache keying and crash
+recovery.
 """
 
 from repro.service.api import ServiceError, SubmitAPI, execute_spec
 from repro.service.cache import CacheEntry, ResultCache, cache_mapping, spec_digest
-from repro.service.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CheckpointError,
-    checkpoint_boundaries,
-    load_checkpoint,
-    resume_from_checkpoint,
-    run_checkpointed,
-)
 from repro.service.jobs import JobRecord, JobState, JobStore
 from repro.service.server import SimulationServer
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
     "CacheEntry",
-    "CheckpointError",
     "JobRecord",
     "JobState",
     "JobStore",
@@ -55,10 +42,6 @@ __all__ = [
     "SimulationServer",
     "SubmitAPI",
     "cache_mapping",
-    "checkpoint_boundaries",
     "execute_spec",
-    "load_checkpoint",
-    "resume_from_checkpoint",
-    "run_checkpointed",
     "spec_digest",
 ]

@@ -3,16 +3,14 @@
 :func:`execute_spec` is the single place a scenario is executed on
 behalf of the service -- the worker pool, the in-process
 :class:`SubmitAPI` and the tests all funnel through it, so cache
-keying, telemetry capture/replay and checkpoint placement cannot drift
-between transports:
+keying and telemetry capture/replay cannot drift between transports:
 
 * **hit**: return the stored result document and *replay* the stored
   unfiltered telemetry rows into the spec's own ``[metrics]`` sinks
   (JSONL path, filter globs) -- the fix for the harness-cache flaw
   where a hit silently produced no row stream;
-* **miss**: run the scenario through
-  :func:`~repro.service.checkpoint.run_checkpointed` (checkpointing
-  when asked, or resuming an existing cursor), capture the full
+* **miss**: run the scenario with
+  :func:`~repro.scenario.runner.run_scenario`, capture the full
   unfiltered row stream, and store spec text + result + rows.
 
 :class:`SubmitAPI` is the transport-free service surface
@@ -31,8 +29,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.scenario import ScenarioError, ScenarioSpec, parse_scenario, to_toml
+from repro.scenario.runner import run_scenario
 from repro.service.cache import ResultCache, spec_digest
-from repro.service.checkpoint import resume_from_checkpoint, run_checkpointed
 from repro.service.jobs import JobRecord, JobState, JobStore
 from repro.telemetry import JsonlSink, MemorySink
 
@@ -57,28 +55,15 @@ def _drive_spec_sinks_from_entry(spec: ScenarioSpec, entry) -> None:
 def execute_spec(
     spec: ScenarioSpec,
     cache: ResultCache | None = None,
-    checkpoint_path: "str | os.PathLike | None" = None,
-    interval: float | None = None,
-    resume: bool = False,
 ) -> tuple[dict[str, Any], bool]:
-    """Run (or fetch) one scenario; returns ``(result_json, cached)``.
-
-    ``resume`` finishes an existing checkpoint at ``checkpoint_path``
-    first if one exists (a requeued job whose worker died); a missing
-    file silently degrades to a fresh run -- the worker may have died
-    before its first checkpoint.
-    """
+    """Run (or fetch) one scenario; returns ``(result_json, cached)``."""
     digest = spec_digest(spec)
     if cache is not None:
         entry = cache.get(digest)
         if entry is not None:
             _drive_spec_sinks_from_entry(spec, entry)
             return entry.result(), True
-    if resume and checkpoint_path is not None and Path(checkpoint_path).is_file():
-        result = resume_from_checkpoint(checkpoint_path)
-    else:
-        result = run_checkpointed(spec, checkpoint_path, interval)
-    assert result is not None  # stop_after is not part of the service path
+    result = run_scenario(spec)
     doc = result.to_json_dict()
     if cache is not None:
         telemetry = result.telemetry
@@ -109,8 +94,8 @@ def parse_submission(spec: "ScenarioSpec | Mapping[str, Any]",
 class SubmitAPI:
     """Submit/status/result/cancel over a journal and a result cache.
 
-    ``state_dir`` holds the journal (``jobs/``) and checkpoint cursors
-    (``checkpoints/``); ``cache_dir`` defaults to ``<state_dir>/cache``.
+    ``state_dir`` holds the journal (``jobs/``); ``cache_dir`` defaults
+    to ``<state_dir>/cache``.
     This base class executes synchronously at :meth:`submit` time; the
     server overrides :meth:`_dispatch` to enqueue instead.
     """
@@ -119,7 +104,6 @@ class SubmitAPI:
         self,
         state_dir: "str | os.PathLike",
         cache_dir: "str | os.PathLike | None" = None,
-        checkpoint_interval: float | None = None,
         telemetry=None,
     ) -> None:
         self.state_dir = Path(state_dir)
@@ -129,8 +113,6 @@ class SubmitAPI:
             else self.state_dir / "cache",
             telemetry=telemetry,
         )
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoints_dir = self.state_dir / "checkpoints"
 
     # -- the surface ------------------------------------------------------
     def submit(self, spec: "ScenarioSpec | Mapping[str, Any]") -> JobRecord:
@@ -211,20 +193,13 @@ class SubmitAPI:
         return {"jobs": self.store.counts(), "cache": self.cache.stats()}
 
     # -- execution strategy (the server overrides these) -------------------
-    def checkpoint_path(self, job_id: str) -> Path:
-        return self.checkpoints_dir / f"{job_id}.json"
-
     def _dispatch(self, record: JobRecord, spec: ScenarioSpec) -> JobRecord:
         """Run synchronously in process (the library-mode strategy)."""
         record.state = JobState.RUNNING
         record.attempts += 1
         self.store.save(record)
         try:
-            _, cached = execute_spec(
-                spec, self.cache,
-                checkpoint_path=self.checkpoint_path(record.job_id),
-                interval=self.checkpoint_interval,
-            )
+            _, cached = execute_spec(spec, self.cache)
         except Exception as exc:  # noqa: BLE001 - journal every failure
             record.state = JobState.FAILED
             record.error = f"{type(exc).__name__}: {exc}"

@@ -4,7 +4,7 @@ One :class:`JobRecord` per submitted spec, persisted as a JSON file
 under ``<state>/jobs/`` with atomic writes -- the journal *is* the
 source of truth across server restarts: :meth:`JobStore.recoverable`
 lists the queued/running entries a restarting server re-enqueues
-(resuming from their checkpoints where one exists).
+(each re-runs from the spec its record carries).
 
 States form a tiny machine::
 
@@ -115,25 +115,41 @@ class JobStore:
 
     def new_job(self, digest: str, scenario: str,
                 spec: Mapping[str, Any]) -> JobRecord:
-        """Mint, persist and return the next queued record."""
-        self._seq += 1
-        record = JobRecord(
-            job_id=f"job-{self._seq:06d}",
-            digest=digest,
-            scenario=scenario,
-            spec=dict(spec),
-        )
-        self.save(record)
-        return record
+        """Mint, persist and return the next queued record.
 
-    def save(self, record: JobRecord) -> JobRecord:
+        The id is claimed by exclusive create, so two stores on one
+        state directory never mint the same id: one another store has
+        already taken is stepped past.
+        """
+        while True:
+            self._seq += 1
+            record = JobRecord(
+                job_id=f"job-{self._seq:06d}",
+                digest=digest,
+                scenario=scenario,
+                spec=dict(spec),
+            )
+            try:
+                return self.save(record, exclusive=True)
+            except FileExistsError:
+                continue
+
+    def save(self, record: JobRecord, exclusive: bool = False) -> JobRecord:
+        """Write the record to a temp file, then move it into place
+        atomically: ``os.replace`` overwrites, while ``exclusive`` uses
+        ``os.link``, which raises ``FileExistsError`` when the id is
+        already taken (readers never see a half-written claim)."""
         path = self.jobs_dir / f"{record.job_id}.json"
         fd, tmp = tempfile.mkstemp(dir=self.jobs_dir, prefix=f".{record.job_id}.")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(record.to_dict(), sort_keys=True,
                                     indent=2) + "\n")
-            os.replace(tmp, path)
+            if exclusive:
+                os.link(tmp, path)
+                os.unlink(tmp)
+            else:
+                os.replace(tmp, path)
         except Exception:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -8,8 +8,8 @@ parent owns the journal and runs one monitor thread that
 * applies worker reports (start/done/error) to the journal,
 * detects **dead workers** (an exit code where none was expected --
   SIGKILL, OOM), respawns the slot, and requeues the job that was in
-  flight with ``resume=True`` so it continues from its last checkpoint
-  cursor instead of starting over (``max_attempts`` bounds the
+  flight; it re-runs from its journaled spec, and by the determinism
+  contract its result is bit-identical (``max_attempts`` bounds the
   crash-requeue loop; a job that keeps killing workers fails loudly),
 * enforces cancellation: a task whose journal entry was cancelled
   before a worker picked it up is killed at pick-up.
@@ -43,13 +43,10 @@ class SimulationServer(SubmitAPI):
         state_dir,
         workers: int = 2,
         cache_dir=None,
-        checkpoint_interval: float | None = None,
         max_attempts: int = 3,
         telemetry=None,
     ) -> None:
-        super().__init__(state_dir, cache_dir=cache_dir,
-                         checkpoint_interval=checkpoint_interval,
-                         telemetry=telemetry)
+        super().__init__(state_dir, cache_dir=cache_dir, telemetry=telemetry)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.n_workers = workers
@@ -78,7 +75,6 @@ class SimulationServer(SubmitAPI):
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        self.checkpoints_dir.mkdir(parents=True, exist_ok=True)
         for slot in range(self.n_workers):
             self._spawn(slot)
         self.recover()
@@ -114,22 +110,14 @@ class SimulationServer(SubmitAPI):
         self.stop()
 
     def recover(self) -> list[JobRecord]:
-        """Re-enqueue every queued/running entry a dead server left.
-
-        Entries that were ``running`` resume from their checkpoint
-        cursor (when the worker lived long enough to write one); plain
-        ``queued`` entries just go back on the queue.
-        """
+        """Re-enqueue every queued/running entry a dead server left;
+        each re-runs from its journaled spec."""
         recovered = []
         for record in self.store.recoverable():
-            resume = (record.state is JobState.RUNNING
-                      and self.checkpoint_path(record.job_id).is_file())
             record.state = JobState.QUEUED
             record.worker = record.pid = None
             self.store.save(record)
-            self._tasks.put(WorkerTask(job_id=record.job_id,
-                                       digest=record.digest,
-                                       resume=resume, spec=record.spec))
+            self._enqueue(record)
             recovered.append(record)
         return recovered
 
@@ -137,8 +125,7 @@ class SimulationServer(SubmitAPI):
     def _dispatch(self, record: JobRecord, spec: ScenarioSpec) -> JobRecord:
         if not self._started:
             raise RuntimeError("server not started; call start() first")
-        self._tasks.put(WorkerTask(job_id=record.job_id, digest=record.digest,
-                                   spec=record.spec))
+        self._enqueue(record)
         return record
 
     def _on_cancel(self, record: JobRecord) -> None:
@@ -153,11 +140,14 @@ class SimulationServer(SubmitAPI):
                     break
 
     # -- pool internals ----------------------------------------------------
+    def _enqueue(self, record: JobRecord) -> None:
+        self._tasks.put(WorkerTask(job_id=record.job_id, digest=record.digest,
+                                   spec=record.spec))
+
     def _spawn(self, slot: int) -> None:
         proc = self._ctx.Process(
             target=worker_loop,
-            args=(slot, self._tasks, self._results, str(self.state_dir),
-                  str(self.cache.root), self.checkpoint_interval),
+            args=(slot, self._tasks, self._results, str(self.cache.root)),
             name=f"service-worker-{slot}",
             daemon=True,
         )
@@ -241,14 +231,11 @@ class SimulationServer(SubmitAPI):
                 record.worker = record.pid = None
                 self.store.save(record)
                 continue
-            resume = self.checkpoint_path(job_id).is_file()
             record.state = JobState.QUEUED
-            record.error = note + ("; resuming from checkpoint" if resume
-                                   else "; restarting from scratch")
+            record.error = note + "; re-running from its spec"
             record.worker = record.pid = None
             self.store.save(record)
-            self._tasks.put(WorkerTask(job_id=job_id, digest=record.digest,
-                                       resume=resume, spec=record.spec))
+            self._enqueue(record)
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict[str, Any]:

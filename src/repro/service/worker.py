@@ -16,8 +16,8 @@ owns the journal):
 * ``("error", worker_id, job_id, message)`` -- the scenario raised.
 
 A worker that dies without reporting (SIGKILL, OOM) is detected by the
-parent's monitor via its exit code; the checkpoint cursor it left under
-``<state>/checkpoints/`` is what the requeued job resumes from.
+parent's monitor via its exit code; the job is requeued and re-run from
+the spec the task carries.
 """
 
 from __future__ import annotations
@@ -36,30 +36,19 @@ class WorkerTask:
 
     job_id: str
     digest: str
-    #: Whether to pick up an existing checkpoint cursor first.
-    resume: bool = False
     spec: dict[str, Any] = field(default_factory=dict)
 
 
-def worker_loop(worker_id: int, tasks, results, state_dir: str,
-                cache_dir: str, interval: float | None) -> None:
+def worker_loop(worker_id: int, tasks, results, cache_dir: str) -> None:
     """Drain ``tasks`` until the ``None`` sentinel arrives."""
     cache = ResultCache(cache_dir)
-    checkpoints = os.path.join(state_dir, "checkpoints")
     while True:
         task = tasks.get()
         if task is None:
             break
         results.put(("start", worker_id, task.job_id, os.getpid()))
         try:
-            spec = parse_submission(task.spec)
-            _, cached = execute_spec(
-                spec, cache,
-                checkpoint_path=os.path.join(checkpoints,
-                                             f"{task.job_id}.json"),
-                interval=interval,
-                resume=task.resume,
-            )
+            _, cached = execute_spec(parse_submission(task.spec), cache)
         except Exception as exc:  # noqa: BLE001 - report, don't die
             results.put(("error", worker_id, task.job_id,
                          f"{type(exc).__name__}: {exc}"))

@@ -20,7 +20,7 @@ from repro.scenario import ScenarioError, parse_scenario
 def test_invariant_roster_is_the_documented_six():
     assert list(INVARIANTS) == [
         "conservation", "no_stuck_jobs", "determinism", "parity",
-        "checkpoint_resume", "monotone_clocks",
+        "stepping", "monotone_clocks",
     ]
 
 
@@ -110,31 +110,28 @@ def test_invariants_hold_on_a_faulted_generated_scenario():
     assert check_mapping(mapping, parity=True) == []
 
 
-def test_checkpoint_resume_invariant_is_gated_on_parity_sampling():
-    from repro.fuzz.invariants import check_checkpoint_resume
+def test_stepping_invariant_is_gated_on_parity_sampling():
+    from repro.fuzz.invariants import check_stepping
 
     mapping = generate_mapping("random-mix", 4)
-    assert check_checkpoint_resume(FuzzContext(mapping, parity=False)) == []
-    assert check_checkpoint_resume(FuzzContext(mapping, parity=True)) == []
+    assert check_stepping(FuzzContext(mapping, parity=False)) == []
+    assert check_stepping(FuzzContext(mapping, parity=True)) == []
 
 
-def test_checkpoint_resume_invariant_catches_a_divergent_resume(monkeypatch):
-    import repro.fuzz.invariants as inv
-
-    from repro.service.checkpoint import resume_from_checkpoint
+def test_stepping_invariant_catches_a_divergent_stepped_run(monkeypatch):
+    from repro.scenario.runner import reduce_scenario_result
 
     mapping = generate_mapping("random-mix", 4)
 
-    def planted(path):
-        result = resume_from_checkpoint(path)
-        result.end_time = result.end_time + 1.0  # corrupt the resume
+    def planted(spec, outcome):
+        result = reduce_scenario_result(spec, outcome)
+        result.end_time = result.end_time + 1.0  # corrupt the stepped run
         return result
 
-    monkeypatch.setattr("repro.service.checkpoint.resume_from_checkpoint",
-                        planted)
-    violations = inv.check_checkpoint_resume(FuzzContext(mapping, parity=True))
-    assert violations == ["checkpoint/resume produced result JSON different "
-                          "from the straight-through run"]
+    monkeypatch.setattr(invariants_mod, "reduce_scenario_result", planted)
+    violations = invariants_mod.check_stepping(FuzzContext(mapping, parity=True))
+    assert violations == ["stepping to mid-horizon and on produced result "
+                          "JSON different from the one-shot run"]
 
 
 def test_crashed_worker_becomes_a_failing_case():

@@ -8,7 +8,13 @@ import pytest
 import repro.service.api as api_mod
 from repro.scenario import ScenarioError, parse_scenario
 from repro.scenario.runner import run_scenario
-from repro.service import JobState, ServiceError, SubmitAPI, execute_spec
+from repro.service import (
+    JobState,
+    JobStore,
+    ServiceError,
+    SubmitAPI,
+    execute_spec,
+)
 from repro.service.cache import ResultCache, spec_digest
 
 TINY = {
@@ -104,13 +110,26 @@ def test_failed_execution_is_journaled(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise RuntimeError("engine exploded")
 
-    monkeypatch.setattr(api_mod, "run_checkpointed", boom)
+    monkeypatch.setattr(api_mod, "run_scenario", boom)
     api = SubmitAPI(tmp_path / "state")
     record = api.submit(_mapping())
     assert record.state is JobState.FAILED
     assert "engine exploded" in record.error
     with pytest.raises(ServiceError, match="failed, not done"):
         api.result(record.job_id)
+
+
+def test_two_stores_on_one_state_dir_never_share_a_job_id(tmp_path):
+    """Each store scans for the highest id once, at init; the ids it
+    mints later are claimed on disk, so a second store (another
+    process on the same state directory) cannot overwrite a job."""
+    first, second = JobStore(tmp_path), JobStore(tmp_path)
+    a = first.new_job("ab" * 32, "a", _mapping())
+    b = second.new_job("cd" * 32, "b", _mapping())
+    c = first.new_job("ef" * 32, "c", _mapping())
+    assert (a.job_id, b.job_id, c.job_id) == (
+        "job-000001", "job-000002", "job-000003")
+    assert [r.scenario for r in JobStore(tmp_path).list()] == ["a", "b", "c"]
 
 
 def test_cancel_spares_terminal_jobs_and_kills_queued_ones(tmp_path):

@@ -6,7 +6,6 @@ small and its pool to one or two workers.
 """
 
 import copy
-import json
 import os
 import signal
 import time
@@ -26,12 +25,12 @@ TINY = {
     "jobs": [{"app": "nn", "params": {"iters": 2}}],
 }
 
-#: Endless uniform traffic over a long horizon: slow enough (~1s wall)
-#: that the monitor can observe it running and kill its worker mid-run.
+#: Endless uniform traffic over a long horizon: slow enough (over 1 s
+#: wall) that a kill lands mid-run, well inside the monitor's 0.1 s tick.
 LONG = {
     "name": "long-srv",
     "seed": 5,
-    "horizon": 0.3,
+    "horizon": 1.5,
     "jobs": [{"app": "ur", "name": "ur0"}],
 }
 
@@ -73,38 +72,36 @@ def test_submit_runs_on_the_pool_and_caches(tmp_path):
     assert all(p is None or not p.is_alive() for p in server._procs)
 
 
-def test_sigkilled_worker_resumes_from_checkpoint_bit_identically(tmp_path):
+def _running_pid(server, job_id):
+    record = server.status(job_id)
+    return record.pid if record.state is JobState.RUNNING else None
+
+
+def test_sigkilled_worker_requeues_and_finishes_bit_identically(tmp_path):
     """The durability proof: SIGKILL the worker mid-run; the monitor
-    requeues the job with resume=True and the finished result matches
-    an uninterrupted in-process run bit for bit."""
+    requeues the job, it re-runs from its journaled spec and the
+    finished result matches an uninterrupted in-process run bit for
+    bit."""
     baseline = run_scenario(
         parse_scenario(_mapping(LONG), name=LONG["name"])).to_json_dict()
-    with SimulationServer(tmp_path / "state", workers=1,
-                          checkpoint_interval=0.01) as server:
+    with SimulationServer(tmp_path / "state", workers=1) as server:
         record = server.submit(_mapping(LONG))
-        pid = _wait_for(lambda: server.status(record.job_id).pid)
-        # Give the worker time to commit at least one checkpoint cursor.
-        _wait_for(server.checkpoint_path(record.job_id).is_file)
+        pid = _wait_for(lambda: _running_pid(server, record.job_id))
         os.kill(pid, signal.SIGKILL)
         done = server.wait(record.job_id, timeout=120.0)
         assert done.state is JobState.DONE
         assert done.attempts == 2
         assert "died with exit code -9" in done.error
-        assert "resuming from checkpoint" in done.error
+        assert done.error.endswith("; re-running from its spec")
         assert server.result(record.job_id) == baseline
 
 
 def test_job_that_keeps_killing_workers_fails_after_max_attempts(tmp_path):
-    with SimulationServer(tmp_path / "state", workers=1, max_attempts=2,
-                          checkpoint_interval=0.01) as server:
+    with SimulationServer(tmp_path / "state", workers=1,
+                          max_attempts=2) as server:
         record = server.submit(_mapping(LONG))
-
-        def running_pid():
-            r = server.status(record.job_id)
-            return r.pid if r.state is JobState.RUNNING else None
-
         for _ in range(2):
-            pid = _wait_for(running_pid)
+            pid = _wait_for(lambda: _running_pid(server, record.job_id))
             os.kill(pid, signal.SIGKILL)
             _wait_for(lambda: server.status(record.job_id).pid != pid)
         done = server.wait(record.job_id, timeout=60.0)
@@ -112,18 +109,33 @@ def test_job_that_keeps_killing_workers_fails_after_max_attempts(tmp_path):
         assert "giving up after 2 attempts" in done.error
 
 
-def test_server_restart_recovers_journaled_jobs(tmp_path):
-    """A job accepted (queued) by a dead server runs after restart."""
+def _restart_recovers(tmp_path, left):
     state = tmp_path / "state"
     store = JobStore(state)
     spec = parse_scenario(_mapping(TINY), name=TINY["name"])
     orphan = store.new_job(spec_digest(spec), spec.name, spec.to_dict())
-    assert orphan.state is JobState.QUEUED
+    if left == "running":
+        orphan.state = JobState.RUNNING
+        orphan.attempts, orphan.worker, orphan.pid = 1, 0, 999999
+        store.save(orphan)
     with SimulationServer(state, workers=1) as server:
         done = server.wait(orphan.job_id, timeout=60.0)
         assert done.state is JobState.DONE
+        assert done.attempts == (2 if left == "running" else 1)
+        assert done.worker is None and done.pid is None
         assert server.result(orphan.job_id) == run_scenario(
             parse_scenario(_mapping(TINY), name=TINY["name"])).to_json_dict()
+
+
+def test_server_restart_recovers_journaled_jobs(tmp_path):
+    """A job accepted (queued) by a dead server runs after restart."""
+    _restart_recovers(tmp_path, "queued")
+
+
+def test_server_restart_recovers_a_job_left_running(tmp_path):
+    """A job a dead server left running on a worker that died with it
+    re-runs from its spec after restart, as its second attempt."""
+    _restart_recovers(tmp_path, "running")
 
 
 def test_cancel_queued_job_never_runs(tmp_path):

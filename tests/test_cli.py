@@ -477,7 +477,7 @@ def test_fuzz_smoke(capsys, tmp_path):
     assert data["failures"] == 0
     assert data["invariants"] == ["conservation", "no_stuck_jobs",
                                   "determinism", "parity",
-                                  "checkpoint_resume", "monotone_clocks"]
+                                  "stepping", "monotone_clocks"]
 
 
 def test_fuzz_unknown_generator_is_a_clean_error(capsys):
@@ -489,8 +489,7 @@ def test_serve_submit_jobs_flags_parse():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["serve", "--state", "st", "--workers", "4", "--port", "7399",
-         "--checkpoint-interval", "0.01"])
+        ["serve", "--state", "st", "--workers", "4", "--port", "7399"])
     assert (args.state, args.workers, args.port) == ("st", 4, 7399)
     args = build_parser().parse_args(["submit", "spec.toml", "--wait"])
     assert args.server.startswith("http://127.0.0.1")
@@ -521,9 +520,6 @@ def test_jobs_flags_without_an_id_are_an_error(capsys):
 
 
 def test_serve_rejects_bad_flag_values(capsys, tmp_path):
-    assert main(["serve", "--state", str(tmp_path / "st"),
-                 "--checkpoint-interval", "0"]) == 2
-    assert "checkpoint-interval" in capsys.readouterr().err
     assert main(["serve", "--state", str(tmp_path / "st2"),
                  "--workers", "0"]) == 2
     assert "workers" in capsys.readouterr().err

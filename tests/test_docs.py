@@ -63,16 +63,15 @@ def test_faults_doc_names_every_kind_generator_invariant(check_docs):
 
 
 def test_service_doc_names_every_state_key_and_cache_file(check_docs):
-    # 5 job states + 7 checkpoint keys + format tag + 3 cache files
-    # + 2 telemetry counters at minimum.
-    assert check_docs.check_service_doc() >= 18
+    # 5 job states + 3 cache files + 2 telemetry counters at minimum.
+    assert check_docs.check_service_doc() >= 10
 
 
-def test_service_doc_checkpoint_key_drift_is_caught(check_docs, tmp_path):
+def test_service_doc_job_state_drift_is_caught(check_docs, tmp_path):
     text = (REPO / "docs" / "service.md").read_text()
     p = tmp_path / "service.md"
-    p.write_text(text.replace("`committed_index`", "`commit_index`"))
-    with pytest.raises(AssertionError, match="committed_index"):
+    p.write_text(text.replace("`cancelled`", "`canceled`"))
+    with pytest.raises(AssertionError, match="cancelled"):
         check_docs.check_service_doc(p)
 
 
