@@ -37,9 +37,11 @@ on ``accel-sequential`` -- and asserts:
    nothing but the collector itself reclaims the finished runs.
 
 ``--build-sanitized`` instead rebuilds the kernel with UBSan (and
-``--asan`` AddressSanitizer) into ``UNION_ACCEL_CACHE`` under the key
-``load_kernel`` looks up, so that a following ``pytest tests/accel``
-with the same cache runs against the instrumented build.
+``--asan`` AddressSanitizer) and the kernel's debug assertions
+(``-DUNION_ACCEL_DEBUG``: a port's arrival FIFO stays in ``(time,
+seq)`` order) into ``UNION_ACCEL_CACHE`` under the key ``load_kernel``
+looks up, so that a following ``pytest tests/accel`` with the same
+cache runs against the instrumented build.
 
 Exit 0 on success; any assertion is fatal.  Run directly:
 ``python scripts/accel_smoke.py --expect compiled``.
@@ -219,7 +221,8 @@ def build_sanitized(asan: bool) -> int:
 
     assert os.environ.get("UNION_ACCEL_CACHE"), (
         "point UNION_ACCEL_CACHE at a scratch directory first")
-    flags = ["-fsanitize=undefined", "-fno-sanitize-recover=undefined", "-g"]
+    flags = ["-fsanitize=undefined", "-fno-sanitize-recover=undefined", "-g",
+             "-DUNION_ACCEL_DEBUG"]
     if asan:
         flags.insert(0, "-fsanitize=address")
     print(f"sanitized kernel at {build_into(tuple(flags))}")
@@ -233,7 +236,8 @@ def main() -> int:
         help="assert the accel run used this backend (keeps the check "
              "non-vacuous in CI)")
     parser.add_argument("--build-sanitized", action="store_true",
-                        help="only build a UBSan kernel into UNION_ACCEL_CACHE")
+                        help="only build a UBSan kernel with debug assertions "
+                             "into UNION_ACCEL_CACHE")
     parser.add_argument("--asan", action="store_true",
                         help="with --build-sanitized: AddressSanitizer too")
     args = parser.parse_args()

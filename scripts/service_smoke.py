@@ -23,6 +23,7 @@ stage exits non-zero.  Stdlib + the repo only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -63,28 +64,31 @@ def wait_for(predicate, timeout: float = 60.0, poll: float = 0.05,
 
 
 def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--state", default=None,
+                        help="service state directory, kept afterwards "
+                             "(default: a temporary directory, removed)")
+    parser.add_argument("--workers", type=int, default=2,
+                        help="worker pool size (default: 2)")
+    args = parser.parse_args(argv)
+    with (contextlib.nullcontext(args.state) if args.state
+          else tempfile.TemporaryDirectory(prefix="service-smoke-")) as state:
+        return drill(Path(state), args.workers)
+
+
+def drill(state: Path, workers: int) -> int:
     from repro.scenario import parse_scenario
     from repro.scenario.runner import run_scenario
     from repro.service import SimulationServer
     from repro.service.client import ServiceClient
     from repro.service.http import ServiceHTTPServer
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--state", default=None,
-                        help="service state directory (default: a fresh "
-                             "temporary directory)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker pool size (default: 2)")
-    args = parser.parse_args(argv)
-    state = Path(args.state) if args.state else \
-        Path(tempfile.mkdtemp(prefix="service-smoke-"))
-
     # The uncached baseline for stage 4, computed before the service
     # ever sees the spec.
     baseline = run_scenario(
         parse_scenario(dict(LONG), name=LONG["name"])).to_json_dict()
 
-    with SimulationServer(state, workers=args.workers) as server:
+    with SimulationServer(state, workers=workers) as server:
         http = ServiceHTTPServer(server).start()
         try:
             client = ServiceClient(http.url)

@@ -58,6 +58,7 @@
 
 #include <structmember.h>
 
+#include <assert.h>
 #include <math.h>
 #include <string.h>
 
@@ -68,7 +69,7 @@ static PyTypeObject *deque_type; /* collections.deque */
 /* ---------------------------------------------------------------- */
 /* heap entries                                                      */
 
-static const char *const ev_names[] = {"", "pkt", "drain", "inj_done",
+static const char *const ev_names[] = {"", "pkt", "pkt", "drain", "inj_done",
                                        "loopback", "wake"};
 
 /* (the pool reallocates, so a packet cannot point into itself) */
@@ -137,7 +138,8 @@ heap_push(KernelObject *k, entry_t *e)
     }
     k->heap[k->len] = *e;
     heap_siftdown(k->heap, 0, k->len);
-    k->len++;
+    if (++k->len > k->heap_peak)
+        k->heap_peak = k->len;
     return 0;
 }
 
@@ -168,29 +170,24 @@ raise_lookahead(KernelObject *k, PyObject *what, double time, double send_time)
                  "with delay %s < lookahead %s", what, delay, la);
 }
 
-/* A fabric LP or a resident rank schedules a native event:
- * Engine.schedule_fast plus the engine's _push, without an Event. */
-int
-kern_sched(KernelObject *k, double time, int32_t dst, int kind, int prio,
-           int64_t ref)
+/* A native event's seq, drawn by the dispatching LP exactly as
+ * Engine.schedule_fast draws it, then the engine's _push lookahead
+ * check: -1 (error set) when the event breaks it. */
+static int
+native_seq(KernelObject *k, double time, int32_t dst, int kind, int prio,
+           int64_t *seq)
 {
     long slot = k->origin + 1;
     int64_t c = k->counters[slot];
     k->counters[slot] = c + 1;
-    entry_t e;
-    e.time = time;
-    e.seq = ((int64_t)slot << SEQ_ORIGIN_SHIFT) | c;
-    e.dst = dst;
-    e.prio = (int16_t)prio;
-    e.kind = (int16_t)kind;
-    e.u.ref = ref;
+    *seq = ((int64_t)slot << SEQ_ORIGIN_SHIFT) | c;
     if (k->conservative && k->current_partition >= 0
         && k->lps[dst].part != k->current_partition
         && time < k->now + k->lookahead) {
         char buf[160];
         PyOS_snprintf(buf, sizeof(buf),
                       "Event(t=%.9f, dst=%d, kind='%s', prio=%d, seq=%lld)",
-                      time, (int)dst, ev_names[kind], prio, (long long)e.seq);
+                      time, (int)dst, ev_names[kind], prio, (long long)*seq);
         PyObject *what = PyUnicode_FromString(buf);
         if (what) {
             raise_lookahead(k, what, time, k->now);
@@ -198,6 +195,23 @@ kern_sched(KernelObject *k, double time, int32_t dst, int kind, int prio,
         }
         return -1;
     }
+    return 0;
+}
+
+/* A fabric LP or a resident rank schedules a native event:
+ * Engine.schedule_fast plus the engine's _push, without an Event. */
+int
+kern_sched(KernelObject *k, double time, int32_t dst, int kind, int prio,
+           int64_t ref)
+{
+    entry_t e;
+    if (native_seq(k, time, dst, kind, prio, &e.seq) < 0)
+        return -1;
+    e.time = time;
+    e.dst = dst;
+    e.prio = (int16_t)prio;
+    e.kind = (int16_t)kind;
+    e.u.ref = ref;
     return heap_push(k, &e);
 }
 
@@ -277,24 +291,91 @@ port_depth(fabric_t *f, port_t *p, double now)
     return (p->tail - p->head) + (now < p->busy ? 1 : 0);
 }
 
+/* Make room for one more item of `size` bytes in the power-of-two
+ * ring holding items [head, tail) (absolute counts): the ring to use
+ * from now on (a larger copy once it is full, the old one freed), or
+ * NULL with MemoryError set and the old ring kept. */
+static void *
+ring_reserve(void *ring, int32_t *cap, int64_t head, int64_t tail,
+             size_t size)
+{
+    if (tail - head < *cap)
+        return ring;
+    int32_t ncap = *cap ? *cap * 2 : 8;
+    char *r = PyMem_Malloc((size_t)ncap * size);
+    const char *old = ring;
+    if (!r) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (int64_t i = head; i < tail; i++)
+        memcpy(r + (size_t)(i & (ncap - 1)) * size,
+               old + (size_t)(i & (*cap - 1)) * size, size);
+    PyMem_Free(ring);
+    *cap = ncap;
+    return r;
+}
+
 static int
 port_push(port_t *p, double start)
 {
-    if (p->tail - p->head == p->cap) {
-        int32_t ncap = p->cap ? p->cap * 2 : 8;
-        double *r = PyMem_Malloc((size_t)ncap * sizeof(double));
-        if (!r) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (int64_t i = p->head; i < p->tail; i++)
-            r[i & (ncap - 1)] = p->ring[i & (p->cap - 1)];
-        PyMem_Free(p->ring);
-        p->ring = r;
-        p->cap = ncap;
-    }
+    double *r = ring_reserve(p->ring, &p->cap, p->head, p->tail,
+                             sizeof(double));
+    if (!r)
+        return -1;
+    p->ring = r;
     p->ring[p->tail++ & (p->cap - 1)] = start;
     return 0;
+}
+
+/* Schedule packet pi's arrival at the far end of port idx.  One port's
+ * arrivals are already in (time, priority, seq) order: done never
+ * decreases (start = max(busy, now), bw > 0), extra is fixed at
+ * adoption, and every seq is drawn by the one router LP.  So they wait
+ * in the port's FIFO and only its head is a heap entry (ref = port);
+ * port_pop pushes each next head in turn with its original time and
+ * seq. */
+static int
+port_send(KernelObject *k, fabric_t *f, int32_t idx, double time, int32_t pi)
+{
+    port_t *pt = &f->ports[idx];
+    int32_t dst = f->prow[idx].peer;
+    int64_t seq;
+    if (native_seq(k, time, dst, EV_PKT, PRIO_NETWORK, &seq) < 0)
+        return -1;
+    arrival_t *fifo = ring_reserve(pt->fifo, &pt->fcap, pt->fhead, pt->ftail,
+                                   sizeof(arrival_t));
+    if (!fifo)
+        return -1;
+    pt->fifo = fifo;
+#ifdef UNION_ACCEL_DEBUG
+    if (pt->fhead < pt->ftail) {
+        const arrival_t *last = &fifo[(pt->ftail - 1) & (pt->fcap - 1)];
+        assert(time > last->time || (time == last->time && seq > last->seq));
+    }
+#endif
+    fifo[pt->ftail & (pt->fcap - 1)] = (arrival_t){time, seq, pi};
+    if (pt->ftail++ > pt->fhead)
+        return 0;            /* the heap already holds this port's head */
+    entry_t e = {.time = time, .seq = seq, .dst = dst, .prio = PRIO_NETWORK,
+                 .kind = EV_PORT, .u.ref = idx};
+    return heap_push(k, &e);
+}
+
+/* The heap just gave up port idx's head: take its packet off the FIFO
+ * and push the next head, if any, into the slot just freed.  The
+ * packet, or -1 (error set). */
+static int32_t
+port_pop(KernelObject *k, fabric_t *f, int32_t idx)
+{
+    port_t *pt = &f->ports[idx];
+    int32_t pi = pt->fifo[pt->fhead++ & (pt->fcap - 1)].pkt;
+    if (pt->fhead == pt->ftail)
+        return pi;
+    const arrival_t *a = &pt->fifo[pt->fhead & (pt->fcap - 1)];
+    entry_t e = {.time = a->time, .seq = a->seq, .dst = f->prow[idx].peer,
+                 .prio = PRIO_NETWORK, .kind = EV_PORT, .u.ref = idx};
+    return heap_push(k, &e) < 0 ? -1 : pi;
 }
 
 static inline void
@@ -673,8 +754,7 @@ router_arrival(KernelObject *k, fabric_t *f, int32_t rid, int32_t pi)
     R->forwarded++;
     mark(f, D_ROUTER, rid, &R->dirty);
     p->hop += f->prow[idx].hop_inc;
-    return kern_sched(k, done + f->plink[idx].extra, f->prow[idx].peer,
-                      EV_PKT, PRIO_NETWORK, pi);
+    return port_send(k, f, idx, done + f->plink[idx].extra, pi);
 }
 
 /* TerminalLP._start_next */
@@ -772,6 +852,8 @@ dispatch_native(KernelObject *k, const entry_t *e, const lp_t *row)
     int32_t ref = (int32_t)e->u.ref;
     if (e->kind >= EV_LOOPBACK)
         return ranks_dispatch(k, e);
+    if (e->kind == EV_PORT && (ref = port_pop(k, f, ref)) < 0)
+        return -1;
     if (e->kind == EV_DRAIN)
         return nic_advance(k, f, row->index);
     if (e->kind == EV_INJ_DONE)
@@ -1088,8 +1170,10 @@ fabric_free(fabric_t *f)
 {
     if (!f)
         return;
-    for (int32_t i = 0; i < f->n_ports; i++)
+    for (int32_t i = 0; i < f->n_ports; i++) {
         PyMem_Free(f->ports[i].ring);
+        PyMem_Free(f->ports[i].fifo);
+    }
     for (int32_t i = 0; i < f->n_pkts; i++)
         if (f->pkts[i].plen > PATH_INLINE)
             PyMem_Free(f->pkts[i].ext);
@@ -1321,6 +1405,12 @@ Kernel_set_port_bw(KernelObject *self, PyObject *args)
     if (router < 0 || router >= f->n_routers || port < 0
         || port >= f->rrow[router + 1].port0 - f->rrow[router].port0) {
         PyErr_SetString(PyExc_IndexError, "no such router port");
+        return NULL;
+    }
+    if (!(bw > 0)) {   /* the port FIFOs rely on done never decreasing */
+        PyErr_Format(PyExc_ValueError,
+                     "port bandwidth must be positive, got %R",
+                     PyTuple_GET_ITEM(args, 2));
         return NULL;
     }
     f->plink[f->rrow[router].port0 + port].bw = bw;
@@ -1735,6 +1825,8 @@ static PyMemberDef Kernel_members[] = {
      0, NULL},
     {"events_processed", T_LONGLONG, offsetof(KernelObject, events_processed),
      READONLY, NULL},
+    {"heap_peak", T_PYSSIZET, offsetof(KernelObject, heap_peak), READONLY,
+     "the most entries the event heap has held at once"},
     {"windows_executed", T_LONGLONG, offsetof(KernelObject, windows_executed),
      READONLY, NULL},
     {"max_window_events", T_LONGLONG,

@@ -27,10 +27,13 @@
 /* ---------------------------------------------------------------- */
 /* heap entries                                                      */
 
-/* EV_PY carries an Event; the others are native: the fabric's packet,
- * NIC drain and injection-done events, a resident rank's self-send and
- * its compute wakeup. */
-enum { EV_PY = 0, EV_PKT, EV_DRAIN, EV_INJ_DONE, EV_LOOPBACK, EV_WAKE };
+/* EV_PY carries an Event; the others are native: the fabric's packet
+ * (EV_PKT from a NIC, EV_PORT from a router port -- the head of that
+ * port's FIFO of pending arrivals, ref = port), NIC drain
+ * and injection-done events, a resident rank's self-send and its
+ * compute wakeup. */
+enum { EV_PY = 0, EV_PKT, EV_PORT, EV_DRAIN, EV_INJ_DONE, EV_LOOPBACK,
+       EV_WAKE };
 
 /* repro.pdes.event.Priority */
 enum { PRIO_NETWORK = 1, PRIO_WAKEUP = 3 };
@@ -71,11 +74,19 @@ typedef struct {
 
 /* ... and the state that changes: */
 typedef struct {
+    double time;
+    int64_t seq;
+    int32_t pkt;
+} arrival_t;               /* a packet bound for the far end of a port   */
+
+typedef struct {
     double busy;
     double *ring;          /* pending transmit starts, power-of-two ring */
     int64_t head, tail;    /* absolute pop / push counts                 */
     int64_t synced_head, synced_tail; /* as of the last flush            */
-    int32_t cap;
+    arrival_t *fifo;       /* pending arrivals, head in the heap: ring   */
+    int64_t fhead, ftail;  /* absolute pop / push counts                 */
+    int32_t cap, fcap;
     int8_t dirty;
 } port_t;
 
@@ -214,6 +225,7 @@ typedef struct {
     PyObject_HEAD
     entry_t *heap;
     Py_ssize_t len, cap;
+    Py_ssize_t heap_peak;   /* the most entries the heap ever held    */
     int64_t *counters;      /* slot 0 = environment, then one per LP  */
     lp_t *lps;
     Py_ssize_t n_lps, cap_lps;

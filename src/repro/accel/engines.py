@@ -86,6 +86,7 @@ class KernelEngine(Engine):
         self._part_of_lp: list[int] = []
         self.windows_executed = 0
         self.max_window_events = 0
+        self.heap_peak = 0
         self.committed_by_partition: list[int] = [0] * n_partitions
 
     # -- the resident fabric -------------------------------------------------
@@ -194,6 +195,7 @@ class KernelEngine(Engine):
             self.events_processed = kern.events_processed
             self.windows_executed = kern.windows_executed
             self.max_window_events = kern.max_window_events
+            self.heap_peak = kern.heap_peak
             self.committed_by_partition = kern.committed_by_partition()
             self._origin = -1
         self._run_end_hooks()

@@ -131,6 +131,9 @@ class RouterLP(LP):
 
     def restore_port(self, port: int, state: tuple) -> None:
         """Restore a port state saved by :meth:`scale_port_bandwidth`."""
+        if not state[1] > 0:
+            raise ValueError(
+                f"port bandwidth must be positive, got {state[1]!r}")
         self._ports[port] = state
         resident = self.fabric._resident
         if resident is not None:

@@ -132,6 +132,9 @@ def _get_float(data: Mapping, key: str, path: str, default: float | None = None,
         raise _err(f"{path}.{key}" if path else key,
                    f"expected a number, got {value!r}")
     value = float(value)
+    if value != value:  # nan passes every range check
+        raise _err(f"{path}.{key}" if path else key,
+                   "expected a number, got nan")
     if minimum is not None and value < minimum:
         raise _err(f"{path}.{key}" if path else key,
                    f"must be >= {minimum}, got {value}")

@@ -128,6 +128,27 @@ def test_validation_errors_name_the_key(mutate, match):
         parse_scenario(data)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("text, data, where", [
+    ('horizon = nan\n[[jobs]]\napp = "nn"\n',
+     {"horizon": NAN, "jobs": [{"app": "nn"}]}, "horizon"),
+    ('[[jobs]]\napp = "nn"\narrival = nan\n',
+     {"jobs": [{"app": "nn", "arrival": NAN}]}, r"jobs\[0\]\.arrival"),
+])
+def test_nan_is_rejected_with_its_key_path(tmp_path, text, data, where):
+    # nan < minimum is false: without its own check a nan horizon or
+    # arrival would parse and run "ok"
+    p = tmp_path / "nan.toml"
+    p.write_text(text)
+    match = rf"{where}: expected a number, got nan"
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(p)
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(data)
+
+
 def test_zero_interval_burst_with_finite_iters_is_allowed():
     spec = parse_scenario({"jobs": [{"app": "nn"}],
                            "traffic": [{"interval_s": 0.0, "iters": 5}]})
