@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation drift checks (registered as a tier-1 test).
 
-Three invariants keep the docs honest:
+These invariants keep the docs honest:
 
 1. ``docs/cli.md`` must name **every** subcommand registered on the
    ``union-sim`` argparse parser (introspected, not hard-coded), plus
@@ -36,6 +36,12 @@ Three invariants keep the docs honest:
 8. ``docs/service.md`` must name every job lifecycle state, the cache
    entry's file names and the cache telemetry counters, so the service
    reference cannot drift from :mod:`repro.service`.
+9. Each ``| Key | Default | Meaning |`` table in ``docs/scenarios.md``
+   must name exactly the declared keys of the table its section
+   documents (:data:`repro.scenario.spec.SCENARIO_TABLES`; the
+   ``[engine]`` keys come from the engine registry), and every declared
+   table needs one, so a key cannot be added, renamed or dropped in the
+   parser alone.
 
 Run directly (``python scripts/check_docs.py``) or via pytest
 (``tests/test_docs.py`` wraps the same functions).
@@ -117,6 +123,55 @@ def check_scenario_snippets(path: Path = DOCS / "scenarios.md") -> int:
         except Exception as exc:
             raise AssertionError(f"{where} fails validation: {exc}") from None
     return len(snippets)
+
+
+def scenario_key_tables(text: str) -> dict[str, list[str]]:
+    """The keys each ``| Key | Default | Meaning |`` table names (the
+    backticked names in its first column), by the table its section
+    heading names (``[[jobs]]`` -> ``jobs``; no name -> ``""``, the top
+    level)."""
+    tables: dict[str, list[str]] = {}
+    section, rows = "", None
+    for line in text.splitlines():
+        if line.startswith("## "):
+            m = re.search(r"`\[\[?(\w+)\]\]?`", line)
+            section = m.group(1) if m else ""
+        elif line.startswith("| Key | Default | Meaning |"):
+            assert section not in tables, f"two key tables for {section!r}"
+            rows = tables[section] = []
+        elif rows is not None and line.startswith("|"):
+            if not line.startswith("|---"):
+                rows.extend(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        else:
+            rows = None
+    return tables
+
+
+def check_scenario_key_tables(path: Path = DOCS / "scenarios.md") -> int:
+    """docs/scenarios.md's key tables must match the declared tables.
+
+    Returns the number of declared keys checked.
+    """
+    from repro.registry import engine_registry
+    from repro.scenario.spec import SCENARIO_TABLES
+
+    declared = {t: [p.name for p in ps] for t, ps in SCENARIO_TABLES.items()}
+    declared["engine"] = ["type", *dict.fromkeys(
+        p.name for spec in engine_registry for p in spec.params)]
+    documented = scenario_key_tables(path.read_text())
+    for table, keys in declared.items():
+        label = f"[{table}]" if table else "top-level"
+        assert table in documented, (
+            f"{path} has no | Key | Default | Meaning | table for the {label} "
+            f"keys {keys}")
+        missing = [k for k in keys if k not in documented[table]]
+        stale = [k for k in documented[table] if k not in keys]
+        assert not missing and not stale, (
+            f"{path}: the {label} key table misses {missing} and names "
+            f"{stale}, which the parser does not declare")
+    unknown = sorted(set(documented) - set(declared))
+    assert not unknown, f"{path} has key tables for undeclared tables {unknown}"
+    return sum(len(keys) for keys in declared.values())
 
 
 def check_registry_doc(path: Path = DOCS / "registry.md") -> int:
@@ -305,6 +360,7 @@ def main() -> int:
     v = check_env_doc()
     f = check_faults_doc()
     s = check_service_doc()
+    t = check_scenario_key_tables()
     print(f"docs OK: cli.md covers all {len(registered_subcommands())} subcommands; "
           f"{n} scenarios.md snippets validate; "
           f"registry.md names all {m} components; "
@@ -312,7 +368,8 @@ def main() -> int:
           f"engines.md names all {e} engines/parameters; "
           f"env.md names all {v} policies/observation fields; "
           f"faults.md names all {f} fault kinds/generators/invariants; "
-          f"service.md names all {s} states/cache files/counters")
+          f"service.md names all {s} states/cache files/counters; "
+          f"scenarios.md key tables name all {t} declared keys")
     return 0
 
 

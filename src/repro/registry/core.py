@@ -15,8 +15,10 @@ Concrete component kinds live in :mod:`repro.registry.topologies`,
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 
 class RegistryError(ValueError):
@@ -29,17 +31,32 @@ def _err(path: str, problem: str) -> RegistryError:
     return RegistryError(f"{where}{problem}")
 
 
+def key_path(path: str, key: str) -> str:
+    """``key`` under the table at ``path`` (``"jobs[2]"`` -> ``"jobs[2].nranks"``)."""
+    return f"{path}.{key}" if path else key
+
+
 #: Sentinel for parameters without a default (rarely used: most
 #: component parameters take their defaults from a scale preset).
 REQUIRED = object()
 
+_FLOAT_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class Param:
-    """One typed parameter of a component.
+    """One typed parameter of a component, or one key of a scenario table.
 
-    ``kind`` is one of ``"int"``, ``"float"``, ``"str"``, ``"bool"`` or
-    ``"int_list"`` (a TOML/JSON array of integers, e.g. torus ``dims``).
+    ``kind`` is one of ``"int"``, ``"float"`` (finite), ``"str"``,
+    ``"bool"``, ``"int_list"`` (a TOML/JSON array of integers, e.g. torus
+    ``dims``), ``"str_list"`` (a string or an array of strings),
+    ``"table"``, ``"tables"`` (an array of tables) or ``"name_or_table"``
+    (a string ``s``, read as ``{"type": s}``, or a table).  ``exclusive``
+    makes ``minimum`` a strict bound.  Only scenario tables
+    (:mod:`repro.scenario.spec`) use the last two fields: an ``always``
+    key is written even at its default; a ``when = (sibling, value)``
+    key applies only while that sibling holds ``value`` -- refused
+    elsewhere, always written where it applies.
     """
 
     name: str
@@ -47,9 +64,14 @@ class Param:
     doc: str = ""
     default: Any = REQUIRED
     minimum: int | float | None = None
+    maximum: int | float | None = None
+    exclusive: bool = False
     choices: tuple[Any, ...] | None = None
+    always: bool = False
+    when: tuple[str, Any] | None = None
 
-    _KINDS = ("int", "float", "str", "bool", "int_list")
+    _KINDS = ("int", "float", "str", "bool", "int_list", "str_list",
+              "table", "tables", "name_or_table")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -70,33 +92,62 @@ class Param:
 
     def validate(self, value: Any, path: str) -> Any:
         """Coerce/validate one value; raises :class:`RegistryError`."""
-        where = f"{path}.{self.name}" if path else self.name
-        if self.kind == "int":
+        kind = self.kind
+        if kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise _err(where, f"expected an integer, got {value!r}")
-        elif self.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _err(where, f"expected a number, got {value!r}")
+                raise self._bad(path, "an integer", repr(value))
+        elif kind == "float":
+            # The bounds are false for nan, and keep an int too large
+            # for a double from reaching float().
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise self._bad(path, "a number", repr(value))
             value = float(value)
-        elif self.kind == "str":
+        elif kind == "str":
             if not isinstance(value, str):
-                raise _err(where, f"expected a string, got {value!r}")
-        elif self.kind == "bool":
+                raise self._bad(path, "a string", repr(value))
+        elif kind == "bool":
             if not isinstance(value, bool):
-                raise _err(where, f"expected a boolean, got {value!r}")
+                raise self._bad(path, "true/false", repr(value))
+        elif kind == "table":
+            if not isinstance(value, Mapping):
+                raise self._bad(path, "a table/object", type(value).__name__)
+            value = dict(value)
+        elif kind == "tables":
+            if not isinstance(value, list):
+                raise self._bad(path, "an array of tables", type(value).__name__)
+        elif kind == "str_list":
+            value = [value] if isinstance(value, str) else value
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise self._bad(path, "a string or an array of strings", repr(value))
+            value = list(value)
+        elif kind == "name_or_table":
+            value = {"type": value} if isinstance(value, str) else value
+            if not isinstance(value, Mapping):
+                raise self._bad(path, "a name or a table", repr(value))
+            value = dict(value)
         else:  # int_list
             if not isinstance(value, (list, tuple)) or not value or any(
                 isinstance(v, bool) or not isinstance(v, int) for v in value
             ):
-                raise _err(where, f"expected a non-empty array of integers, got {value!r}")
+                raise self._bad(path, "a non-empty array of integers", repr(value))
             value = tuple(int(v) for v in value)
         if self.minimum is not None:
-            low = min(value) if self.kind == "int_list" else value
-            if low < self.minimum:
-                raise _err(where, f"must be >= {self.minimum}, got {value!r}")
+            low = min(value) if kind == "int_list" else value
+            if low < self.minimum or (self.exclusive and low == self.minimum):
+                bound = ">" if self.exclusive else ">="
+                raise _err(key_path(path, self.name),
+                           f"must be {bound} {self.minimum}, got {value!r}")
+        if self.maximum is not None and value > self.maximum:
+            raise _err(key_path(path, self.name),
+                       f"must be <= {self.maximum}, got {value!r}")
         if self.choices is not None and value not in self.choices:
-            raise _err(where, f"{value!r} is not one of {list(self.choices)}")
+            raise _err(key_path(path, self.name),
+                       f"{value!r} is not one of {list(self.choices)}")
         return value
+
+    def _bad(self, path: str, expected: str, got: str) -> RegistryError:
+        return _err(key_path(path, self.name), f"expected {expected}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +182,7 @@ class ComponentSpec:
             if p is None:
                 expected = ", ".join(self.param_names()) or "(none)"
                 raise _err(
-                    f"{path}.{key}" if path else key,
+                    key_path(path, key),
                     f"unknown parameter {key!r} for {kind} {self.name!r}; "
                     f"expected one of: {expected}",
                 )
@@ -191,6 +242,18 @@ class Registry:
             raise _err(path, f"unknown {self.kind} {name!r}; "
                              f"available: {list(self._specs)}")
         return spec
+
+    def split_table(self, table: Mapping[str, Any],
+                    path: str = "") -> tuple[ComponentSpec, dict[str, Any]]:
+        """Resolve a canonical ``{"type": name, ...params}`` table into
+        the named spec and the remaining, not yet validated, parameters."""
+        rest = dict(table)
+        name = rest.pop("type", None)
+        where = key_path(path, "type")
+        if name is None:
+            raise _err(where, f"missing 'type' key naming the {self.kind}; "
+                              f"available: {list(self._specs)}")
+        return self.get(name, path=where), rest
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._specs)

@@ -108,11 +108,7 @@ def build_engine(table: Mapping[str, Any], topo: Any,
     """
     from repro.parallel import PartitionError
 
-    table = dict(table)
-    name = table.pop("type", None)
-    if name is None:
-        raise _err(path, "missing 'type' key naming the engine")
-    spec = engine_registry.get(name, path=f"{path}.type")
+    spec, table = engine_registry.split_table(table, path)
     assert isinstance(spec, EngineSpec)
     params = spec.resolve_params(table, path, kind="engine")
     try:

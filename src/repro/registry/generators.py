@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.registry.core import ComponentSpec, Param, Registry, _err
+from repro.registry.core import ComponentSpec, Param, Registry
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,8 @@ def build_generator(generator: "str | Mapping[str, Any]", seed: int,
     (``{"type": "random-mix", "jobs": 6}``).  Returns the raw mapping;
     :func:`repro.generate.generate_scenario` is the validating wrapper.
     """
-    if isinstance(generator, str):
-        table: dict[str, Any] = {"type": generator}
-    else:
-        table = dict(generator)
-    name = table.pop("type", None)
-    if name is None:
-        raise _err(path, "missing 'type' key naming the generator")
-    spec = generator_registry.get(name, path=f"{path}.type")
+    spec, table = generator_registry.split_table(
+        {"type": generator} if isinstance(generator, str) else generator, path)
     assert isinstance(spec, GeneratorSpec)
     params = spec.resolve_params(table, path, kind="generator")
     return spec.build(seed, params)
@@ -119,7 +113,7 @@ register_generator(GeneratorSpec(
         Param("faults", "int", "fault entries to sprinkle",
               default=0, minimum=0),
         Param("horizon", "float", "simulation horizon (s)",
-              default=0.006, minimum=0),
+              default=0.006, minimum=0, exclusive=True),
         Param("fabric", "str", "target topology family",
               default="dragonfly",
               choices=("dragonfly", "fattree", "torus")),
@@ -135,9 +129,9 @@ register_generator(GeneratorSpec(
         Param("arrivals", "int", "traffic arrivals to sample",
               default=2000, minimum=1),
         Param("period", "float", "diurnal cycle length (s)",
-              default=0.02, minimum=0),
+              default=0.02, minimum=0, exclusive=True),
         Param("horizon", "float", "simulation horizon (s)",
-              default=0.05, minimum=0),
+              default=0.05, minimum=0, exclusive=True),
     ),
     factory=_diurnal,
 ), aliases=("poisson",))
@@ -151,7 +145,7 @@ register_generator(GeneratorSpec(
               default=3, minimum=1),
         Param("jobs", "int", "catalog jobs to draw", default=2, minimum=1),
         Param("horizon", "float", "simulation horizon (s)",
-              default=0.006, minimum=0),
+              default=0.006, minimum=0, exclusive=True),
     ),
     factory=_hotspot_blend,
 ))

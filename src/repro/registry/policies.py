@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.registry.core import ComponentSpec, Param, Registry, _err
+from repro.registry.core import ComponentSpec, Param, Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at runtime: repro.union.__init__ pulls in the
@@ -81,14 +81,8 @@ def build_policy(policy: "str | Mapping[str, Any] | ControlPolicy | None",
         policy = "scripted"
     if isinstance(policy, ControlPolicy):
         return policy
-    if isinstance(policy, str):
-        table: dict[str, Any] = {"type": policy}
-    else:
-        table = dict(policy)
-    name = table.pop("type", None)
-    if name is None:
-        raise _err(path, "missing 'type' key naming the policy")
-    spec = policy_registry.get(name, path=f"{path}.type")
+    spec, table = policy_registry.split_table(
+        {"type": policy} if isinstance(policy, str) else policy, path)
     assert isinstance(spec, PolicySpec)
     params = spec.resolve_params(table, path, kind="policy")
     return spec.build(params)

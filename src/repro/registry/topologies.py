@@ -113,11 +113,7 @@ def resolve_topology_params(
 
 def build_topology(table: Mapping[str, Any], path: str = "topology") -> Any:
     """Instantiate a topology from a canonical ``{"type": ..., ...}`` table."""
-    table = dict(table)
-    name = table.pop("type", None)
-    if name is None:
-        raise _err(path, "missing 'type' key naming the topology")
-    spec = topology_registry.get(name, path=f"{path}.type")
+    spec, table = topology_registry.split_table(table, path)
     assert isinstance(spec, TopologySpec)
     params = resolve_topology_params(spec, table, path)
     with collector.building():

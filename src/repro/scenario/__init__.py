@@ -44,6 +44,7 @@ from repro.scenario.spec import (
     ScenarioSpec,
     StorageEntry,
     TrafficEntry,
+    entry_dict,
     load_scenario,
     parse_engine_table,
     parse_policy_table,
@@ -69,6 +70,7 @@ __all__ = [
     "build_telemetry",
     "discover_specs",
     "dump_toml",
+    "entry_dict",
     "load_scenario",
     "parse_engine_table",
     "parse_policy_table",

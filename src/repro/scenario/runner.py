@@ -22,7 +22,7 @@ from repro.harness.configs import default_counter_window, make_topology
 from repro.harness.report import engine_line, format_bytes, format_seconds, render_table
 from repro.mpi.engine import job_key
 from repro.registry import RegistryError, build_topology, default_engine_info
-from repro.scenario.spec import JobEntry, ScenarioError, ScenarioSpec, TrafficEntry
+from repro.scenario.spec import JobEntry, ScenarioError, ScenarioSpec, TrafficEntry, entry_dict
 from repro.telemetry import RESULT_SCHEMA_VERSION, JsonlSink, SummarySink, Telemetry
 from repro.union.manager import Job, RunOutcome, WorkloadManager
 from repro.union.translator import translate
@@ -327,7 +327,7 @@ def reduce_scenario_result(spec: ScenarioSpec, outcome: RunOutcome) -> ScenarioR
             return int(inst.value) if inst is not None else 0
 
         faults_info = {
-            "entries": [f.to_dict() for f in spec.faults],
+            "entries": [entry_dict(f) for f in spec.faults],
             "transitions": fault_val("transitions"),
             "avoided_paths": fault_val("avoided"),
             "unavoidable_paths": fault_val("unavoidable"),

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import json
 import tomllib
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, ClassVar
 
 from repro.harness.configs import NETWORKS, default_horizon
 from repro.registry import (
     SCALES,
-    EngineSpec,
-    PolicySpec,
     RegistryError,
     TopologySpec,
     all_routing_names,
@@ -44,6 +43,7 @@ from repro.registry import (
     routing_spec,
     topology_registry,
 )
+from repro.registry.core import Param, key_path
 from repro.telemetry import metric_segment
 from repro.workloads.catalog import app_catalog
 
@@ -71,74 +71,94 @@ def _err(path: str, problem: str) -> ScenarioError:
 
 
 def _require_mapping(value: Any, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise _err(path, f"expected a table/object, got {type(value).__name__}")
     return value
 
 
-def _check_keys(data: Mapping, allowed: dict[str, str], path: str) -> None:
-    unknown = set(data) - set(allowed)
+class _Layout:
+    """One declaration, indexed once for :func:`_read` and :func:`entry_dict`."""
+
+    def __init__(self, params: tuple[Param, ...]) -> None:
+        self.by_name = {p.name: p for p in params}
+        self.defaults = {p.name: p.default for p in params if not p.required}
+        self.required = tuple(p.name for p in params if p.required)
+        self.containers = tuple(k for k, v in self.defaults.items()
+                                if isinstance(v, (dict, list)))
+        self.whens = tuple(p for p in params if p.when is not None)
+        self.emit = tuple((p.name, p.always, p.default, p.when,
+                           _plain if p.kind in _CONTAINER_KINDS else None)
+                          for p in params)
+
+
+_CONTAINER_KINDS = ("str_list", "table", "tables", "name_or_table")
+
+
+def _read(raw: Any, params: tuple[Param, ...], path: str) -> dict[str, Any]:
+    """Validate one table against its declaration.
+
+    Returns every declared key: the given value, checked and coerced by
+    its :class:`Param`, or the default (a key given as JSON ``null``
+    counts as absent).  Unknown keys fail first, then each given key,
+    then missing required keys, then the ``when`` rules.
+    """
+    raw = _require_mapping(raw, path)
+    layout = _LAYOUTS[id(params)]
+    by_name = layout.by_name
+    unknown = raw.keys() - by_name.keys()
     if unknown:
         key = sorted(unknown)[0]
-        expected = ", ".join(sorted(allowed))
-        raise _err(
-            f"{path}.{key}" if path else key,
-            f"unknown key {key!r}; expected one of: {expected}",
-        )
+        raise _err(key_path(path, key), f"unknown key {key!r}; expected one of: "
+                                        f"{', '.join(sorted(by_name))}")
+    out = dict(layout.defaults)
+    try:
+        for key, value in raw.items():
+            if value is not None:
+                out[key] = by_name[key].validate(value, path)
+    except RegistryError as exc:
+        raise ScenarioError(str(exc)) from None
+    for key in layout.required:
+        if key not in out:
+            p = by_name[key]
+            wanted = f"one of {list(p.choices)}" if p.choices else p.doc
+            raise _err(key_path(path, key), f"required; {wanted}")
+    for key in layout.containers:
+        out[key] = out[key].copy()
+    for p in layout.whens:
+        key, wanted = p.when
+        if out[key] != wanted and raw.get(p.name) is not None:
+            raise _err(key_path(path, p.name), f"only applies when {key} = "
+                                                f"{wanted!r}, not {out[key]!r}")
+    return out
 
 
-def _get_str(data: Mapping, key: str, path: str, default: str | None = None,
-             choices: tuple[str, ...] | None = None) -> str | None:
-    value = data.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise _err(f"{path}.{key}" if path else key,
-                   f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise _err(f"{path}.{key}" if path else key,
-                   f"{value!r} is not one of {list(choices)}")
-    return value
+def entry_dict(entry: Any) -> dict[str, Any]:
+    """Plain-data form of one declared entry (``type(entry).PARAMS``).
+
+    Keys come in declaration order.  A key is written when it is
+    ``always`` written, when its ``when`` rule holds, or when its value
+    differs from the declared default; container values are copied
+    (nested entries through this function).
+    """
+    values = entry.__dict__
+    out: dict[str, Any] = {}
+    for name, always, default, when, convert in _LAYOUTS[id(entry.PARAMS)].emit:
+        value = values[name]
+        if when is not None:
+            if values[when[0]] != when[1]:
+                continue
+        elif not always and value == default:
+            continue
+        out[name] = value if convert is None else convert(value)
+    return out
 
 
-def _get_int(data: Mapping, key: str, path: str, default: int | None = None,
-             minimum: int | None = None) -> int | None:
-    value = data.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _err(f"{path}.{key}" if path else key,
-                   f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _err(f"{path}.{key}" if path else key,
-                   f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_bool(data: Mapping, key: str, path: str, default: bool = False) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise _err(f"{path}.{key}" if path else key,
-                   f"expected true/false, got {value!r}")
-    return value
-
-
-def _get_float(data: Mapping, key: str, path: str, default: float | None = None,
-               minimum: float | None = None) -> float | None:
-    value = data.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _err(f"{path}.{key}" if path else key,
-                   f"expected a number, got {value!r}")
-    value = float(value)
-    if value != value:  # nan passes every range check
-        raise _err(f"{path}.{key}" if path else key,
-                   "expected a number, got nan")
-    if minimum is not None and value < minimum:
-        raise _err(f"{path}.{key}" if path else key,
-                   f"must be >= {minimum}, got {value}")
-    return value
+def _plain(value: Any) -> Any:
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return entry_dict(value) if hasattr(value, "PARAMS") else value
 
 
 @dataclass
@@ -161,23 +181,18 @@ class JobEntry:
     routing: str | None = None
     placement: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name}
-        if self.app is not None:
-            out["app"] = self.app
-        if self.source is not None:
-            out["source"] = self.source
-        if self.nranks is not None:
-            out["nranks"] = self.nranks
-        if self.params:
-            out["params"] = dict(self.params)
-        if self.arrival:
-            out["arrival"] = self.arrival
-        if self.routing is not None:
-            out["routing"] = self.routing
-        if self.placement is not None:
-            out["placement"] = self.placement
-        return out
+    #: The ``[[jobs]]`` keys; a ``None`` name defaults to the app name
+    #: or the source file's stem.
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("name", "str", "job name", default=None),
+        Param("app", "str", "workload-catalog entry", default=None),
+        Param("source", "str", "coNCePTuaL file", default=None),
+        Param("nranks", "int", "rank count", default=None, minimum=1),
+        Param("params", "table", "parameter overrides", default={}),
+        Param("arrival", "float", "arrival time (s)", default=0.0, minimum=0.0),
+        Param("routing", "str", "per-job routing override", default=None),
+        Param("placement", "str", "per-job placement override", default=None),
+    )
 
 
 @dataclass
@@ -195,25 +210,26 @@ class TrafficEntry:
     routing: str | None = None
     placement: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "pattern": self.pattern,
-            "nranks": self.nranks,
-            "msg_bytes": self.msg_bytes,
-            "interval_s": self.interval_s,
-        }
-        if self.iters:
-            out["iters"] = self.iters
-        if self.pattern == "hotspot":
-            out["hot_ranks"] = self.hot_ranks
-        if self.arrival:
-            out["arrival"] = self.arrival
-        if self.routing is not None:
-            out["routing"] = self.routing
-        if self.placement is not None:
-            out["placement"] = self.placement
-        return out
+    #: The ``[[traffic]]`` keys; a ``None`` name defaults to
+    #: ``<pattern>-<i>``.
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("name", "str", "injector name", default=None),
+        Param("pattern", "str", "uniform|hotspot", default="uniform",
+              choices=TRAFFIC_PATTERNS, always=True),
+        # Both patterns need a peer to send to: 1-rank "uniform" has no
+        # valid destination and a 1-rank hotspot degenerates to self-sends.
+        Param("nranks", "int", "rank count", default=8, minimum=2, always=True),
+        Param("msg_bytes", "int", "message size", default=10240, minimum=0,
+              always=True),
+        Param("interval_s", "float", "injection interval (s)", default=1e-3,
+              minimum=0.0, always=True),
+        Param("iters", "int", "rounds (0 = endless)", default=0, minimum=0),
+        Param("hot_ranks", "int", "hotspot targets", default=1, minimum=1,
+              when=("pattern", "hotspot")),
+        Param("arrival", "float", "arrival time (s)", default=0.0, minimum=0.0),
+        Param("routing", "str", "per-injector routing override", default=None),
+        Param("placement", "str", "per-injector placement override", default=None),
+    )
 
 
 @dataclass
@@ -239,20 +255,22 @@ class FaultEntry:
     router_b: int | None = None
     factor: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind,
-            "start": self.start,
-            "duration": self.duration,
-        }
-        if self.router is not None:
-            out["router"] = self.router
-        if self.router_b is not None:
-            out["router_b"] = self.router_b
-        if self.factor is not None:
-            out["factor"] = self.factor
-        return out
+    #: The ``[[faults]]`` keys; a ``None`` name defaults to
+    #: ``<kind>-<i>`` and a ``None`` factor to the kind's own default.
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("name", "str", "fault name", default=None),
+        Param("kind", "str", "fault kind", choices=FAULT_KINDS),
+        Param("start", "float", "onset time (s)", minimum=0.0),
+        Param("duration", "float", "how long the fault lasts (s)",
+              minimum=0.0, exclusive=True),
+        Param("router", "int", "router index (link-*: one end; "
+                               "router-down: the router)", default=None, minimum=0),
+        Param("router_b", "int", "other end of the link (link-* kinds)",
+              default=None, minimum=0),
+        Param("factor", "float", "bandwidth multiplier (link-degrade) or "
+                                 "service-time multiplier (storage-slow)",
+              default=None, minimum=0.0),
+    )
 
 
 @dataclass
@@ -267,8 +285,10 @@ class StorageEntry:
 
     servers: int = 1
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"servers": self.servers}
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("servers", "int", "storage servers on the last N terminal nodes",
+              default=1, minimum=1, always=True),
+    )
 
 
 @dataclass
@@ -288,6 +308,17 @@ class MetricsEntry:
     queue_occupancy: bool = False  # enable net.router.queue
     latency_histograms: bool = False  # enable mpi.job.msg_latency
 
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("jsonl", "str", "metric-row JSONL output path", default=None),
+        Param("filter", "str_list", "export key glob(s)", default=[]),
+        Param("summary", "bool", "embed a metrics summary in the result JSON",
+              default=False),
+        Param("queue_occupancy", "bool", "per-port queue-depth series",
+              default=False),
+        Param("latency_histograms", "bool", "per-job message-latency histograms",
+              default=False),
+    )
+
     def enable_families(self) -> tuple[str, ...]:
         """Telemetry family keys this table switches on."""
         out = []
@@ -301,24 +332,8 @@ class MetricsEntry:
                    filter: list[str] | None = None) -> "MetricsEntry":
         """A copy with the sink/filter overridden (CLI flags, batch);
         the opt-in instrument switches always carry over."""
-        return MetricsEntry(
-            jsonl=jsonl if jsonl is not None else self.jsonl,
-            filter=list(filter) if filter else list(self.filter),
-            summary=self.summary,
-            queue_occupancy=self.queue_occupancy,
-            latency_histograms=self.latency_histograms,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.jsonl is not None:
-            out["jsonl"] = self.jsonl
-        if self.filter:
-            out["filter"] = list(self.filter)
-        for flag in ("summary", "queue_occupancy", "latency_histograms"):
-            if getattr(self, flag):
-                out[flag] = True
-        return out
+        return replace(self, jsonl=jsonl if jsonl is not None else self.jsonl,
+                       filter=list(filter) if filter else list(self.filter))
 
 
 @dataclass
@@ -342,15 +357,14 @@ class EnvEntry:
     #: communication time (``comm_time``).
     reward: str = "avg_latency"
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.policy != {"type": "scripted"}:
-            out["policy"] = dict(self.policy)
-        if self.window is not None:
-            out["window"] = self.window
-        if self.reward != "avg_latency":
-            out["reward"] = self.reward
-        return out
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("policy", "name_or_table", "control policy (name or {type = ...} table)",
+              default={"type": "scripted"}),
+        Param("window", "float", "seconds per env step", default=None,
+              minimum=0.0, exclusive=True),
+        Param("reward", "str", "reward signal", default="avg_latency",
+              choices=ENV_REWARDS),
+    )
 
 
 @dataclass
@@ -391,93 +405,81 @@ class ScenarioSpec:
     #: The ``[storage]`` table; ``None`` runs without storage servers.
     storage: StorageEntry | None = None
 
+    #: The top-level keys.  ``None`` defaults are resolved against the
+    #: topology: the name from the file stem, routing and placement from
+    #: the topology's registry entry, the horizon from the scale.
+    PARAMS: ClassVar[tuple[Param, ...]] = (
+        Param("name", "str", "scenario name", default=None, always=True),
+        Param("topology", "table", "[topology] table", default={}, always=True),
+        Param("routing", "str", "fabric-wide routing", default=None, always=True),
+        Param("placement", "str", "fabric-wide placement", default=None, always=True),
+        # The master seed feeds a uint64 RNG.
+        Param("seed", "int", "master seed", default=1, minimum=0,
+              maximum=2**64 - 1, always=True),
+        Param("horizon", "float", "simulation horizon (s)", default=None,
+              minimum=0.0, exclusive=True, always=True),
+        Param("jobs", "tables", "[[jobs]] entries", default=[], always=True),
+        Param("counter_window", "float", "router counter window (s)", default=None,
+              minimum=0.0, exclusive=True),
+        Param("traffic", "tables", "[[traffic]] entries", default=[]),
+        Param("metrics", "table", "[metrics] telemetry table", default=None),
+        Param("engine", "table", "[engine] execution-engine table", default=None),
+        Param("env", "table", "[env] control-surface table", default=None),
+        Param("faults", "tables", "[[faults]] entries", default=[]),
+        Param("storage", "table", "[storage] burst-buffer table", default=None),
+        Param("base_dir", "str", "directory for relative job sources", default=None),
+    )
+
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form that round-trips through :func:`parse_scenario`."""
+        out = entry_dict(self)
         if self.topology is None:
-            topology: dict[str, Any] = {"network": self.network, "scale": self.scale}
-        else:
-            topology = dict(self.topology)
-        out: dict[str, Any] = {
-            "name": self.name,
-            "topology": topology,
-            "routing": self.routing,
-            "placement": self.placement,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "jobs": [j.to_dict() for j in self.jobs],
-        }
-        if self.counter_window is not None:
-            out["counter_window"] = self.counter_window
-        if self.traffic:
-            out["traffic"] = [t.to_dict() for t in self.traffic]
-        if self.metrics is not None:
-            out["metrics"] = self.metrics.to_dict()
-        if self.engine is not None:
-            out["engine"] = dict(self.engine)
-        if self.env is not None:
-            out["env"] = self.env.to_dict()
-        if self.faults:
-            out["faults"] = [f.to_dict() for f in self.faults]
-        if self.storage is not None:
-            out["storage"] = self.storage.to_dict()
+            # The legacy sugar round-trips as written.
+            out["topology"] = {"network": self.network, "scale": self.scale}
         if self.base_dir is not None:
             # Keep relative job sources resolvable after a round trip.
             out["base_dir"] = str(self.base_dir)
         return out
 
 
-_TOP_KEYS = {
-    "name": "scenario name",
-    "topology": "[topology] table",
-    "routing": "fabric-wide routing",
-    "placement": "fabric-wide placement",
-    "seed": "master seed",
-    "horizon": "simulation horizon (s)",
-    "counter_window": "router counter window (s)",
-    "jobs": "[[jobs]] entries",
-    "traffic": "[[traffic]] entries",
-    "base_dir": "directory for relative job sources",
-    "metrics": "[metrics] telemetry table",
-    "engine": "[engine] execution-engine table",
-    "env": "[env] control-surface table",
-    "faults": "[[faults]] entries",
-    "storage": "[storage] burst-buffer table",
+#: The ``[topology]`` table's own keys: ``network`` is the legacy
+#: dragonfly sugar, ``type`` the registry form, whose further keys are
+#: the named topology's typed parameters.
+TOPOLOGY_PARAMS = (
+    Param("network", "str", "legacy dragonfly sugar", default="1d",
+          choices=NETWORKS),
+    Param("scale", "str", "size preset", default="mini", choices=SCALES),
+    Param("type", "str", "registry topology", default=None),
+)
+
+#: Every declared scenario table by key-path prefix ("" is the top
+#: level); ``scripts/check_docs.py`` holds docs/scenarios.md's key
+#: tables to it.
+SCENARIO_TABLES: dict[str, tuple[Param, ...]] = {
+    "": ScenarioSpec.PARAMS,
+    "topology": TOPOLOGY_PARAMS,
+    "jobs": JobEntry.PARAMS,
+    "traffic": TrafficEntry.PARAMS,
+    "faults": FaultEntry.PARAMS,
+    "storage": StorageEntry.PARAMS,
+    "metrics": MetricsEntry.PARAMS,
+    "env": EnvEntry.PARAMS,
 }
 
-_METRICS_KEYS = {
-    "jsonl": "metric-row JSONL output path",
-    "filter": "export key glob(s)",
-    "summary": "embed a metrics summary in the result JSON",
-    "queue_occupancy": "per-port queue-depth series",
-    "latency_histograms": "per-job message-latency histograms",
-}
+#: Each declared table's layout, by the id of its (module-lifetime) tuple.
+_LAYOUTS = {id(params): _Layout(params) for params in SCENARIO_TABLES.values()}
 
 
-def _parse_metrics(data: Mapping) -> MetricsEntry | None:
-    """Validate the optional ``[metrics]`` table."""
-    if "metrics" not in data:
-        return None
-    raw = _require_mapping(data["metrics"], "metrics")
-    _check_keys(raw, _METRICS_KEYS, "metrics")
-    filt = raw.get("filter", [])
-    if isinstance(filt, str):
-        filt = [filt]
-    if not isinstance(filt, list) or not all(isinstance(f, str) for f in filt):
-        raise _err("metrics.filter",
-                   f"expected a glob string or array of globs, got {filt!r}")
-    return MetricsEntry(
-        jsonl=_get_str(raw, "jsonl", "metrics"),
-        filter=list(filt),
-        summary=_get_bool(raw, "summary", "metrics"),
-        queue_occupancy=_get_bool(raw, "queue_occupancy", "metrics"),
-        latency_histograms=_get_bool(raw, "latency_histograms", "metrics"),
-    )
-
-_ENV_KEYS = {
-    "policy": "control policy (name or {type = ...} table)",
-    "window": "seconds per env step",
-    "reward": "reward signal (avg_latency|comm_time)",
-}
+def _component_table(registry: Any, raw: Any, path: str) -> dict[str, Any]:
+    """Validate a ``{type = name, ...params}`` table against a registry
+    family; returns the canonical sparse table (the canonical name plus
+    only the given parameters, typed-validated)."""
+    try:
+        spec, params = registry.split_table(_require_mapping(raw, path), path)
+        params = spec.validate_params(params, path, kind=registry.kind)
+    except RegistryError as exc:
+        raise ScenarioError(str(exc)) from None
+    return {"type": spec.name, **params}
 
 
 def parse_policy_table(raw: Any, path: str = "policy") -> dict[str, Any]:
@@ -487,41 +489,8 @@ def parse_policy_table(raw: Any, path: str = "policy") -> dict[str, Any]:
     mirroring :func:`parse_engine_table` for the ``policy`` family; also
     the validator behind ``union-sim env --policy``.
     """
-    if isinstance(raw, str):
-        raw = {"type": raw}
-    raw = _require_mapping(raw, path)
-    name = raw.get("type")
-    if name is None:
-        raise _err(f"{path}.type",
-                   f"missing policy name; available: "
-                   f"{list(policy_registry.names())}")
-    try:
-        spec = policy_registry.get(name, path=f"{path}.type")
-        assert isinstance(spec, PolicySpec)
-        params = {k: v for k, v in raw.items() if k != "type"}
-        params = spec.validate_params(params, path, kind="policy")
-    except RegistryError as exc:
-        raise ScenarioError(str(exc)) from None
-    return {"type": spec.name, **params}
-
-
-def _parse_env(data: Mapping) -> EnvEntry | None:
-    """Validate the optional ``[env]`` control-surface table."""
-    if "env" not in data:
-        return None
-    raw = _require_mapping(data["env"], "env")
-    _check_keys(raw, _ENV_KEYS, "env")
-    policy = raw.get("policy", "scripted")
-    window = _get_float(raw, "window", "env", minimum=0.0)
-    if window == 0.0:
-        raise _err("env.window", "must be > 0 (seconds of simulated time "
-                                 "per env step)")
-    return EnvEntry(
-        policy=parse_policy_table(policy, path="env.policy"),
-        window=window,
-        reward=_get_str(raw, "reward", "env", default="avg_latency",
-                        choices=ENV_REWARDS),
-    )
+    return _component_table(policy_registry,
+                            {"type": raw} if isinstance(raw, str) else raw, path)
 
 
 def parse_engine_table(raw: Mapping) -> dict[str, Any]:
@@ -533,26 +502,10 @@ def parse_engine_table(raw: Mapping) -> dict[str, Any]:
     lookahead ceiling) happen when the run builds its engine.  Also the
     validator behind the CLI/batch ``--engine`` overrides.
     """
-    raw = _require_mapping(raw, "engine")
-    name = raw.get("type")
-    if name is None:
-        raise _err("engine.type",
-                   f"missing engine name; available: "
-                   f"{list(engine_registry.names())}")
-    try:
-        spec = engine_registry.get(name, path="engine.type")
-        assert isinstance(spec, EngineSpec)
-        params = {k: v for k, v in raw.items() if k != "type"}
-        params = spec.validate_params(params, "engine", kind="engine")
-    except RegistryError as exc:
-        raise ScenarioError(str(exc)) from None
-    return {"type": spec.name, **params}
+    return _component_table(engine_registry, raw, "engine")
 
 
-_TOPOLOGY_KEYS = {"network": "1d|2d", "scale": "mini|paper"}
-
-
-def _parse_topology(data: Mapping) -> tuple[str, str, dict[str, Any] | None, TopologySpec]:
+def _parse_topology(raw: Mapping) -> tuple[str, str, dict[str, Any] | None, TopologySpec]:
     """Validate the ``[topology]`` table.
 
     Two forms: the legacy dragonfly sugar ``{network = "1d", scale =
@@ -562,102 +515,50 @@ def _parse_topology(data: Mapping) -> tuple[str, str, dict[str, Any] | None, Top
     parameter overrides.  Returns ``(network, scale, canonical,
     topo_spec)`` where ``canonical`` is ``None`` for the sugar form.
     """
-    raw = _require_mapping(data.get("topology", {}), "topology")
     if "type" not in raw:
-        # Mention 'type' in unknown-key errors so a typo'd explicit form
-        # is steered towards the registry syntax, not away from it.
-        _check_keys(raw, {**_TOPOLOGY_KEYS, "type": "registry topology"}, "topology")
-        network = _get_str(raw, "network", "topology", default="1d", choices=NETWORKS)
-        scale = _get_str(raw, "scale", "topology", default="mini", choices=SCALES)
-        spec = topology_registry.get(network)
-        assert isinstance(spec, TopologySpec)
-        return network, scale, None, spec
+        sugar = _read(raw, TOPOLOGY_PARAMS, "topology")
+        network = sugar["network"]
+        return network, sugar["scale"], None, topology_registry.get(network)
     if "network" in raw:
         raise _err("topology", "set exactly one of 'network' (legacy dragonfly "
                                "sugar) or 'type' (a registry topology)")
-    scale = _get_str(raw, "scale", "topology", default="mini", choices=SCALES)
-    try:
-        spec = topology_registry.get(raw["type"], path="topology.type")
-        assert isinstance(spec, TopologySpec)
-        explicit = {k: v for k, v in raw.items() if k not in ("type", "scale")}
-        explicit = spec.validate_params(explicit, "topology", kind="topology")
-    except RegistryError as exc:
-        raise ScenarioError(str(exc)) from None
-    canonical: dict[str, Any] = {"type": spec.name, "scale": scale}
-    canonical.update(
-        {k: list(v) if isinstance(v, tuple) else v for k, v in explicit.items()}
-    )
-    return spec.name, scale, canonical, spec
+    scale = _read({"scale": raw.get("scale")}, TOPOLOGY_PARAMS, "topology")["scale"]
+    table = _component_table(
+        topology_registry, {k: v for k, v in raw.items() if k != "scale"}, "topology")
+    canonical: dict[str, Any] = {"type": table.pop("type"), "scale": scale}
+    canonical.update({k: list(v) if isinstance(v, tuple) else v for k, v in table.items()})
+    return canonical["type"], scale, canonical, topology_registry.get(canonical["type"])
 
 
-def _get_routing(data: Mapping, key: str, path: str, topo_spec: TopologySpec,
-                 default: str | None = None) -> str | None:
-    """A routing name validated against the topology's capability list."""
-    value = data.get(key, default)
-    if value is None:
-        return None
-    where = f"{path}.{key}" if path else key
-    if not isinstance(value, str):
-        raise _err(where, f"expected a string, got {value!r}")
-    avail = list(topo_spec.routings)
-    if value in avail:
-        return value
-    if value in all_routing_names():
-        raise _err(where, f"routing {value!r} is not available on topology "
-                          f"{topo_spec.name!r}; choose from {avail}")
-    raise _err(where, f"{value!r} is not one of {avail}")
+def _check_policies(values: dict[str, Any], path: str, topo_spec: TopologySpec) -> None:
+    """A read table's ``routing``/``placement`` against the topology's
+    capability lists (``None`` keeps the fabric-wide choice)."""
+    routing = values["routing"]
+    if routing is not None and routing not in topo_spec.routings:
+        avail = list(topo_spec.routings)
+        if routing in all_routing_names():
+            raise _err(key_path(path, "routing"),
+                       f"routing {routing!r} is not available on topology "
+                       f"{topo_spec.name!r}; choose from {avail}")
+        raise _err(key_path(path, "routing"), f"{routing!r} is not one of {avail}")
+    placement = values["placement"]
+    if placement is not None:
+        avail = list(available_placements(topo_spec.name))
+        if placement in avail:
+            return
+        where = key_path(path, "placement")
+        if placement in placement_registry.names():
+            try:
+                check_placement(placement, topo_spec.name, path=where)
+            except RegistryError as exc:
+                raise ScenarioError(str(exc)) from None
+        raise _err(where, f"{placement!r} is not one of {avail}")
 
 
-def _get_placement(data: Mapping, key: str, path: str, topo_spec: TopologySpec,
-                   default: str | None = None) -> str | None:
-    """A placement name whose requirements the topology satisfies."""
-    value = data.get(key, default)
-    if value is None:
-        return None
-    where = f"{path}.{key}" if path else key
-    if not isinstance(value, str):
-        raise _err(where, f"expected a string, got {value!r}")
-    avail = list(available_placements(topo_spec.name))
-    if value in avail:
-        return value
-    if value in placement_registry.names():
-        try:
-            check_placement(value, topo_spec.name, path=where)
-        except RegistryError as exc:
-            raise ScenarioError(str(exc)) from None
-    raise _err(where, f"{value!r} is not one of {avail}")
-
-_JOB_KEYS = {
-    "name": "job name",
-    "app": "workload-catalog entry",
-    "source": "coNCePTuaL file",
-    "nranks": "rank count",
-    "params": "parameter overrides",
-    "arrival": "arrival time (s)",
-    "routing": "per-job routing override",
-    "placement": "per-job placement override",
-}
-
-_TRAFFIC_KEYS = {
-    "name": "injector name",
-    "pattern": "uniform|hotspot",
-    "nranks": "rank count",
-    "msg_bytes": "message size",
-    "interval_s": "injection interval (s)",
-    "iters": "rounds (0 = endless)",
-    "hot_ranks": "hotspot targets",
-    "arrival": "arrival time (s)",
-    "routing": "per-injector routing override",
-    "placement": "per-injector placement override",
-}
-
-
-def _parse_job(data: Any, i: int, scale: str, topo_spec: TopologySpec) -> JobEntry:
+def _parse_job(raw: Any, i: int, scale: str, topo_spec: TopologySpec) -> JobEntry:
     path = f"jobs[{i}]"
-    data = _require_mapping(data, path)
-    _check_keys(data, _JOB_KEYS, path)
-    app = _get_str(data, "app", path)
-    source = _get_str(data, "source", path)
+    job = _read(raw, JobEntry.PARAMS, path)
+    app, source = job["app"], job["source"]
     if (app is None) == (source is None):
         raise _err(path, "set exactly one of 'app' (a workload-catalog name) "
                          "or 'source' (a coNCePTuaL file)")
@@ -667,86 +568,32 @@ def _parse_job(data: Any, i: int, scale: str, topo_spec: TopologySpec) -> JobEnt
             raise _err(f"{path}.app",
                        f"unknown application {app!r}; the {scale!r} catalog has: "
                        f"{sorted(catalog)}")
-    name = _get_str(data, "name", path, default=app or Path(source).stem)
-    nranks = _get_int(data, "nranks", path, minimum=1)
-    if source is not None and nranks is None:
+    elif job["nranks"] is None:
         raise _err(f"{path}.nranks",
                    "required for 'source' jobs (DSL files carry no rank count)")
-    params = data.get("params", {})
-    params = dict(_require_mapping(params, f"{path}.params"))
-    return JobEntry(
-        name=name,
-        app=app,
-        source=source,
-        nranks=nranks,
-        params=params,
-        arrival=_get_float(data, "arrival", path, default=0.0, minimum=0.0),
-        routing=_get_routing(data, "routing", path, topo_spec),
-        placement=_get_placement(data, "placement", path, topo_spec),
-    )
+    if job["name"] is None:
+        job["name"] = app or Path(source).stem
+    _check_policies(job, path, topo_spec)
+    return JobEntry(**job)
 
 
-def _parse_traffic(data: Any, i: int, topo_spec: TopologySpec) -> TrafficEntry:
+def _parse_traffic(raw: Any, i: int, topo_spec: TopologySpec) -> TrafficEntry:
     path = f"traffic[{i}]"
-    data = _require_mapping(data, path)
-    _check_keys(data, _TRAFFIC_KEYS, path)
-    pattern = _get_str(data, "pattern", path, default="uniform",
-                       choices=TRAFFIC_PATTERNS)
-    interval_s = _get_float(data, "interval_s", path, default=1e-3, minimum=0.0)
-    iters = _get_int(data, "iters", path, default=0, minimum=0)
-    if iters == 0 and interval_s == 0.0:
+    traffic = _read(raw, TrafficEntry.PARAMS, path)
+    if traffic["iters"] == 0 and traffic["interval_s"] == 0.0:
         raise _err(f"{path}.interval_s",
                    "an endless injector (iters = 0) needs interval_s > 0, "
                    "or simulated time would never advance")
-    return TrafficEntry(
-        name=_get_str(data, "name", path, default=f"{pattern}-{i}"),
-        pattern=pattern,
-        # Both patterns need a peer to send to: 1-rank "uniform" has no
-        # valid destination and a 1-rank hotspot degenerates to self-sends.
-        nranks=_get_int(data, "nranks", path, default=8, minimum=2),
-        msg_bytes=_get_int(data, "msg_bytes", path, default=10240, minimum=0),
-        interval_s=interval_s,
-        iters=iters,
-        hot_ranks=_get_int(data, "hot_ranks", path, default=1, minimum=1),
-        arrival=_get_float(data, "arrival", path, default=0.0, minimum=0.0),
-        routing=_get_routing(data, "routing", path, topo_spec),
-        placement=_get_placement(data, "placement", path, topo_spec),
-    )
+    if traffic["name"] is None:
+        traffic["name"] = f"{traffic['pattern']}-{i}"
+    _check_policies(traffic, path, topo_spec)
+    return TrafficEntry(**traffic)
 
 
-_FAULT_KEYS = {
-    "name": "fault name",
-    "kind": "|".join(FAULT_KINDS),
-    "start": "onset time (s)",
-    "duration": "how long the fault lasts (s)",
-    "router": "router index (link-*: one end; router-down: the router)",
-    "router_b": "other end of the link (link-* kinds)",
-    "factor": "bandwidth multiplier (link-degrade) or service-time "
-              "multiplier (storage-slow)",
-}
-
-_STORAGE_KEYS = {
-    "servers": "storage servers on the last N terminal nodes",
-}
-
-
-def _parse_fault(data: Any, i: int) -> FaultEntry:
+def _parse_fault(raw: Any, i: int) -> FaultEntry:
     path = f"faults[{i}]"
-    data = _require_mapping(data, path)
-    _check_keys(data, _FAULT_KEYS, path)
-    kind = _get_str(data, "kind", path, choices=FAULT_KINDS)
-    if kind is None:
-        raise _err(f"{path}.kind", f"required; one of {list(FAULT_KINDS)}")
-    start = _get_float(data, "start", path, minimum=0.0)
-    if start is None:
-        raise _err(f"{path}.start", "required (fault onset time in seconds)")
-    duration = _get_float(data, "duration", path, minimum=0.0)
-    if duration is None or duration == 0.0:
-        raise _err(f"{path}.duration", "required and must be > 0 (seconds)")
-    router = _get_int(data, "router", path, minimum=0)
-    router_b = _get_int(data, "router_b", path, minimum=0)
-    factor = _get_float(data, "factor", path, minimum=0.0)
-
+    fault = _read(raw, FaultEntry.PARAMS, path)
+    kind, router, router_b = fault["kind"], fault["router"], fault["router_b"]
     if kind in ("link-degrade", "link-down"):
         if router is None or router_b is None:
             raise _err(path, f"{kind!r} needs both 'router' and 'router_b' "
@@ -760,21 +607,19 @@ def _parse_fault(data: Any, i: int) -> FaultEntry:
         if router_b is not None:
             raise _err(f"{path}.router_b",
                        "'router-down' takes a single 'router', not a link")
-    else:  # storage-slow
-        if router is not None or router_b is not None:
-            raise _err(path, "'storage-slow' targets storage servers, not "
-                             "routers; drop 'router'/'router_b'")
+    elif router is not None or router_b is not None:  # storage-slow
+        raise _err(path, "'storage-slow' targets storage servers, not "
+                         "routers; drop 'router'/'router_b'")
 
+    factor = fault["factor"]
     if kind == "link-degrade":
-        if factor is None:
-            factor = 0.1
+        factor = fault["factor"] = 0.1 if factor is None else factor
         if not 0.0 < factor < 1.0:
             raise _err(f"{path}.factor",
                        f"link-degrade factor must be in (0, 1) -- the "
                        f"remaining bandwidth fraction -- got {factor:g}")
     elif kind == "storage-slow":
-        if factor is None:
-            factor = 10.0
+        factor = fault["factor"] = 10.0 if factor is None else factor
         if factor <= 1.0:
             raise _err(f"{path}.factor",
                        f"storage-slow factor must be > 1 -- the service-time "
@@ -782,34 +627,12 @@ def _parse_fault(data: Any, i: int) -> FaultEntry:
     elif factor is not None:
         raise _err(f"{path}.factor",
                    f"{kind!r} takes no 'factor' (the element is fully down)")
-
-    default_name = f"{kind}-{i}"
-    return FaultEntry(
-        name=_get_str(data, "name", path, default=default_name),
-        kind=kind,
-        start=start,
-        duration=duration,
-        router=router,
-        router_b=router_b,
-        factor=factor,
-    )
+    if fault["name"] is None:
+        fault["name"] = f"{kind}-{i}"
+    return FaultEntry(**fault)
 
 
-def _parse_storage(data: Mapping) -> StorageEntry | None:
-    """Validate the optional ``[storage]`` table."""
-    if "storage" not in data:
-        return None
-    raw = _require_mapping(data["storage"], "storage")
-    _check_keys(raw, _STORAGE_KEYS, "storage")
-    servers = _get_int(raw, "servers", "storage", default=1, minimum=1)
-    return StorageEntry(servers=servers)
-
-
-def _check_fault_capabilities(
-    faults: list[FaultEntry],
-    spec: ScenarioSpec,
-    topo_spec: TopologySpec,
-) -> None:
+def _check_fault_capabilities(spec: ScenarioSpec, topo_spec: TopologySpec) -> None:
     """Down-kind faults require every effective routing to be adaptive.
 
     A failed link or router under a deterministic single-path policy
@@ -817,7 +640,7 @@ def _check_fault_capabilities(
     flag lives on the registry entry, so the rejection happens at parse
     time with the fault and the routing both named.
     """
-    down = [f for f in faults if f.kind in DOWN_FAULT_KINDS]
+    down = [f for f in spec.faults if f.kind in DOWN_FAULT_KINDS]
     if not down:
         return
     effective: list[tuple[str, str]] = [("routing", spec.routing)]
@@ -836,6 +659,32 @@ def _check_fault_capabilities(
                        f"{adaptive or ['<none on ' + topo_spec.name + '>']}")
 
 
+def _entry(raw: Any, cls: type, path: str) -> Any:
+    """An optional table read into its entry class (``None`` if absent)."""
+    return None if raw is None else cls(**_read(raw, cls.PARAMS, path))
+
+
+def _check_names(sections: tuple[tuple[str, list], ...], unique: bool) -> None:
+    """Names become telemetry key segments, so they must not collide
+    once folded (``a.b`` and ``a b`` both become ``a_b``); ``unique``
+    also refuses exact duplicates, which reports could not tell apart."""
+    folded: dict[str, str] = {}
+    for section, entries in sections:
+        for i, entry in enumerate(entries):
+            key = metric_segment(entry.name)
+            other = folded.get(key)
+            if other is None:
+                folded[key] = entry.name
+            elif other != entry.name:
+                raise _err(f"{section}[{i}].name",
+                           f"name {entry.name!r} collides with {other!r} on "
+                           f"telemetry key segment {key!r}; rename one")
+            elif unique:
+                raise _err(f"{section}[{i}].name",
+                           f"duplicate job/traffic name {entry.name!r}; "
+                           "names must be unique so reports are unambiguous")
+
+
 def parse_scenario(
     data: Mapping,
     name: str | None = None,
@@ -848,87 +697,44 @@ def parse_scenario(
     falls back to a ``base_dir`` key in the data itself, which is how
     :meth:`ScenarioSpec.to_dict` keeps round-tripped specs runnable).
     """
-    data = _require_mapping(data, "")
-    _check_keys(data, _TOP_KEYS, "")
+    top = _read(data, ScenarioSpec.PARAMS, "")
     if base_dir is None:
-        base_dir = _get_str(data, "base_dir", "")
-    network, scale, canonical, topo_spec = _parse_topology(data)
-
-    jobs_raw = data.get("jobs", [])
-    if not isinstance(jobs_raw, list):
-        raise _err("jobs", f"expected an array of tables, got {type(jobs_raw).__name__}")
-    jobs = [_parse_job(j, i, scale, topo_spec) for i, j in enumerate(jobs_raw)]
+        base_dir = top["base_dir"]
+    network, scale, canonical, topo_spec = _parse_topology(top["topology"])
+    jobs = [_parse_job(j, i, scale, topo_spec) for i, j in enumerate(top["jobs"])]
     if not jobs:
         raise _err("jobs", "a scenario needs at least one [[jobs]] entry")
-
-    traffic_raw = data.get("traffic", [])
-    if not isinstance(traffic_raw, list):
-        raise _err("traffic",
-                   f"expected an array of tables, got {type(traffic_raw).__name__}")
-    traffic = [_parse_traffic(t, i, topo_spec) for i, t in enumerate(traffic_raw)]
-
-    faults_raw = data.get("faults", [])
-    if not isinstance(faults_raw, list):
-        raise _err("faults",
-                   f"expected an array of tables, got {type(faults_raw).__name__}")
-    faults = [_parse_fault(f, i) for i, f in enumerate(faults_raw)]
-    fault_folded: dict[str, str] = {}
-    for i, entry in enumerate(faults):
-        # Fault names become net.fault.<segment> telemetry keys, so the
-        # same fold-collision rule as job names applies among faults.
-        key = metric_segment(entry.name)
-        other = fault_folded.setdefault(key, entry.name)
-        if other != entry.name:
-            raise _err(f"faults[{i}].name",
-                       f"name {entry.name!r} collides with {other!r} on "
-                       f"telemetry key segment {key!r}; rename one")
-
-    seen: set[str] = set()
-    folded: dict[str, str] = {}
-    for section, entries in (("jobs", jobs), ("traffic", traffic)):
-        for i, entry in enumerate(entries):
-            if entry.name in seen:
-                raise _err(f"{section}[{i}].name",
-                           f"duplicate job/traffic name {entry.name!r}; "
-                           "names must be unique so reports are unambiguous")
-            seen.add(entry.name)
-            # Distinct names may still fold onto one telemetry key
-            # segment ('a.b' vs 'a_b'); that would silently merge their
-            # mpi.job.* metrics, so reject it here with the key path.
-            key = metric_segment(entry.name)
-            other = folded.setdefault(key, entry.name)
-            if other != entry.name:
-                raise _err(f"{section}[{i}].name",
-                           f"name {entry.name!r} collides with {other!r} on "
-                           f"telemetry key segment {key!r} (dots/whitespace "
-                           "fold to underscores); rename one")
+    traffic = [_parse_traffic(t, i, topo_spec) for i, t in enumerate(top["traffic"])]
+    faults = [_parse_fault(f, i) for i, f in enumerate(top["faults"])]
+    # Names become mpi.job.<segment> / net.fault.<segment> telemetry keys.
+    _check_names((("faults", faults),), unique=False)
+    _check_names((("jobs", jobs), ("traffic", traffic)), unique=True)
 
     # Fabric-wide defaults come from the topology's registry entry
     # ("adp"/"rg" on dragonflies, exactly the historical defaults).
+    _check_policies(top, "", topo_spec)
+    env = _entry(top["env"], EnvEntry, "env")
+    if env is not None:
+        env.policy = parse_policy_table(env.policy, path="env.policy")
     spec = ScenarioSpec(
-        name=_get_str(data, "name", "", default=name or "scenario"),
+        name=(name or "scenario") if top["name"] is None else top["name"],
         network=network,
         scale=scale,
-        routing=_get_routing(data, "routing", "", topo_spec,
-                             default=topo_spec.default_routing),
-        placement=_get_placement(data, "placement", "", topo_spec,
-                                 default=topo_spec.default_placement),
-        seed=_get_int(data, "seed", "", default=1, minimum=0),  # RNG wants uint64
-        horizon=_get_float(data, "horizon", "", default=default_horizon(scale),
-                           minimum=0.0),
-        counter_window=_get_float(data, "counter_window", "", minimum=0.0),
+        routing=top["routing"] or topo_spec.default_routing,
+        placement=top["placement"] or topo_spec.default_placement,
+        seed=top["seed"],
+        horizon=default_horizon(scale) if top["horizon"] is None else top["horizon"],
+        counter_window=top["counter_window"],
         jobs=jobs,
         traffic=traffic,
         base_dir=Path(base_dir) if base_dir is not None else None,
         topology=canonical,
-        metrics=_parse_metrics(data),
-        engine=parse_engine_table(data["engine"]) if "engine" in data else None,
-        env=_parse_env(data),
+        metrics=_entry(top["metrics"], MetricsEntry, "metrics"),
+        engine=None if top["engine"] is None else parse_engine_table(top["engine"]),
+        env=env,
         faults=faults,
-        storage=_parse_storage(data),
+        storage=_entry(top["storage"], StorageEntry, "storage"),
     )
-    if spec.horizon <= 0:
-        raise _err("horizon", f"must be > 0, got {spec.horizon}")
     if spec.storage is None:
         slow = next((f for f in spec.faults if f.kind == "storage-slow"), None)
         if slow is not None:
@@ -936,11 +742,10 @@ def parse_scenario(
                        f"fault {slow.name!r} is 'storage-slow' but the "
                        "scenario has no [storage] table; add one "
                        "(e.g. servers = 2) so there are servers to slow down")
-    _check_fault_capabilities(spec.faults, spec, topo_spec)
-    if spec.env is not None and spec.env.window is not None \
-            and spec.env.window > spec.horizon:
+    _check_fault_capabilities(spec, topo_spec)
+    if env is not None and env.window is not None and env.window > spec.horizon:
         raise _err("env.window",
-                   f"one step window ({spec.env.window:g}s) exceeds the "
+                   f"one step window ({env.window:g}s) exceeds the "
                    f"horizon ({spec.horizon:g}s)")
     return spec
 

@@ -8,6 +8,7 @@ from repro.scenario import (
     FaultEntry,
     ScenarioError,
     StorageEntry,
+    entry_dict,
     parse_scenario,
     to_toml,
 )
@@ -45,7 +46,7 @@ def test_minimal_fault_parses_with_defaults():
     assert isinstance(f, FaultEntry)
     assert f.name == "link-degrade-0"
     assert f.factor == pytest.approx(0.1)
-    assert spec.to_dict()["faults"] == [f.to_dict()]
+    assert spec.to_dict()["faults"] == [entry_dict(f)]
 
 
 def test_fault_round_trips_through_toml():

@@ -110,3 +110,14 @@ def test_unknown_generator_and_params_fail_loudly():
         build_generator({"type": "diurnal", "wibble": 3}, 0)
     with pytest.raises(RegistryError, match="fabric"):
         build_generator({"type": "random-mix", "fabric": "hypercube"}, 0)
+
+
+@pytest.mark.parametrize("generator, key, value", [
+    ("diurnal", "period", 0.0),  # was a bare ZeroDivisionError
+    ("diurnal", "horizon", float("nan")),
+    ("random-mix", "horizon", 0.0),
+    ("hotspot-blend", "horizon", float("inf")),
+])
+def test_generator_times_must_be_positive_and_finite(generator, key, value):
+    with pytest.raises(RegistryError, match=rf"^generator\.{key}: "):
+        build_generator({"type": generator, key: value}, 0)

@@ -1,10 +1,24 @@
 """Scenario spec parsing: round-trips and validation-error messages."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.scenario import ScenarioError, load_scenario, parse_scenario
+from repro.registry import available_generators
+from repro.scenario import (
+    EnvEntry,
+    FaultEntry,
+    JobEntry,
+    MetricsEntry,
+    ScenarioError,
+    StorageEntry,
+    TrafficEntry,
+    entry_dict,
+    load_scenario,
+    parse_scenario,
+)
+from repro.scenario.spec import SCENARIO_TABLES
 
 GOOD = {
     "name": "demo",
@@ -42,8 +56,8 @@ def test_dict_round_trip():
     spec = parse_scenario(GOOD)
     again = parse_scenario(spec.to_dict())
     assert again.to_dict() == spec.to_dict()
-    assert [j.to_dict() for j in again.jobs] == [j.to_dict() for j in spec.jobs]
-    assert [t.to_dict() for t in again.traffic] == [t.to_dict() for t in spec.traffic]
+    assert [entry_dict(j) for j in again.jobs] == [entry_dict(j) for j in spec.jobs]
+    assert [entry_dict(t) for t in again.traffic] == [entry_dict(t) for t in spec.traffic]
 
 
 def test_defaults_fill_in():
@@ -283,3 +297,129 @@ def test_env_table_validation_errors(table, match):
     data["env"] = table
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(data)
+
+
+# -- the declaration, walked ---------------------------------------------------
+
+#: A valid table for each declared one, and where it sits in a spec.
+_BASE_TABLES = {
+    "": {},
+    "topology": {},
+    "jobs": {"app": "nn"},
+    "traffic": {},
+    "faults": {"kind": "link-degrade", "start": 0.001, "duration": 0.001,
+               "router": 0, "router_b": 1},
+    "storage": {},
+    "metrics": {},
+    "env": {},
+}
+
+
+def _spec_with(table: str, entry: dict) -> tuple[dict, str]:
+    """A minimal valid spec whose ``table`` is ``entry``, plus its key path."""
+    data = {"jobs": [{"app": "nn"}]}
+    if table == "":
+        data.update(entry)
+        return data, ""
+    if table in ("jobs", "traffic", "faults"):
+        data[table] = [entry]
+        return data, f"{table}[0]"
+    data[table] = entry
+    return data, table
+
+
+def _hostile_values(p):
+    """(label, value) pairs that every declared key must refuse."""
+    wrong = 3 if p.kind in ("str", "str_list", "name_or_table") else "x"
+    out = [("wrong type", wrong), ("nan", float("nan")), ("inf", float("inf"))]
+    if p.minimum is not None:
+        out.append(("below the minimum", p.minimum - 1))
+        if p.exclusive:
+            out.append(("at an exclusive minimum", p.minimum))
+    return out
+
+
+_HOSTILE = [
+    pytest.param(table, p.name, value, id=f"{table or 'top'}.{p.name}-{label}")
+    for table, params in SCENARIO_TABLES.items()
+    for p in params
+    for label, value in _hostile_values(p)
+]
+
+
+def test_the_walk_covers_every_table():
+    assert set(SCENARIO_TABLES) == set(_BASE_TABLES)
+    for table, entry in _BASE_TABLES.items():
+        data, _ = _spec_with(table, dict(entry))
+        parse_scenario(data)  # the base of every hostile case is valid
+
+
+@pytest.mark.parametrize("table, key, value", _HOSTILE)
+def test_hostile_value_names_its_key_path(table, key, value):
+    data, where = _spec_with(table, {**_BASE_TABLES[table], key: value})
+    path = f"{where}.{key}" if where else key
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(data)
+    assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+
+
+@pytest.mark.parametrize("table, key", [
+    pytest.param(table, p.name, id=f"{table or 'top'}.{p.name}")
+    for table, params in SCENARIO_TABLES.items() for p in params
+])
+def test_unknown_sibling_key_names_its_key_path(table, key):
+    typo = f"{key}_typo"
+    data, where = _spec_with(table, {**_BASE_TABLES[table], typo: 1})
+    path = f"{where}.{typo}" if where else typo
+    with pytest.raises(ScenarioError, match="unknown") as exc:
+        parse_scenario(data)
+    assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+
+
+@pytest.mark.parametrize("cls", [JobEntry, TrafficEntry, FaultEntry,
+                                 StorageEntry, MetricsEntry, EnvEntry])
+def test_declared_defaults_match_the_entry_fields(cls):
+    # A None default stands for one resolved while parsing (a name from
+    # the entry's index, a fault factor from its kind).
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    assert [p.name for p in cls.PARAMS] == list(fields)
+    for p in cls.PARAMS:
+        f = fields[p.name]
+        if f.default is not dataclasses.MISSING:
+            assert p.default == f.default, p.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert p.default == f.default_factory(), p.name
+
+
+@pytest.mark.parametrize("generator", available_generators())
+def test_generated_specs_round_trip(generator):
+    from repro.generate import generate_scenario
+
+    for seed in range(50):
+        spec = generate_scenario(generator, seed=seed)
+        assert parse_scenario(spec.to_dict()) == spec, seed
+
+
+def test_counter_window_must_be_positive():
+    with pytest.raises(ScenarioError, match=r"^counter_window: must be > 0"):
+        parse_scenario({"jobs": [{"app": "nn"}], "counter_window": 0.0})
+
+
+def test_seed_must_fit_the_uint64_rng():
+    top = 2**64 - 1
+    assert parse_scenario({"jobs": [{"app": "nn"}], "seed": top}).seed == top
+    with pytest.raises(ScenarioError, match=rf"^seed: must be <= {top}"):
+        parse_scenario({"jobs": [{"app": "nn"}], "seed": 2**80})
+
+
+def test_hot_ranks_only_applies_to_hotspot_injectors():
+    with pytest.raises(ScenarioError,
+                       match=r"^traffic\[0\]\.hot_ranks: only applies when "
+                             r"pattern = 'hotspot'"):
+        parse_scenario({"jobs": [{"app": "nn"}],
+                        "traffic": [{"pattern": "uniform", "hot_ranks": 3}]})
+    # A hotspot always writes its hot_ranks, even at the default.
+    spec = parse_scenario({"jobs": [{"app": "nn"}],
+                           "traffic": [{"pattern": "hotspot"}]})
+    assert spec.to_dict()["traffic"][0]["hot_ranks"] == 1
+    assert parse_scenario(spec.to_dict()) == spec

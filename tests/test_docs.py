@@ -215,3 +215,40 @@ def test_checker_runs_as_a_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert "docs OK" in proc.stdout
+
+
+def test_scenario_key_tables_name_every_declared_key(check_docs):
+    # 15 top-level keys + 8 job keys at minimum.
+    assert check_docs.check_scenario_key_tables() >= 23
+
+
+def test_scenario_key_table_missing_key_is_caught(check_docs, tmp_path):
+    text = (REPO / "docs" / "scenarios.md").read_text()
+    row = "| `iters` | `0` | rounds per rank; `0` = endless |\n"
+    assert row in text
+    p = tmp_path / "scenarios.md"
+    p.write_text(text.replace(row, ""))
+    with pytest.raises(AssertionError, match=r"\[traffic\] key table misses \['iters'\]"):
+        check_docs.check_scenario_key_tables(p)
+
+
+def test_scenario_key_table_stale_key_is_caught(check_docs, tmp_path):
+    text = (REPO / "docs" / "scenarios.md").read_text()
+    row = "| `servers` | `1` |"
+    assert row in text
+    p = tmp_path / "scenarios.md"
+    p.write_text(text.replace(row, "| `servers` / `replicas` | `1` |"))
+    with pytest.raises(AssertionError, match=r"\[storage\].*\['replicas'\]"):
+        check_docs.check_scenario_key_tables(p)
+
+
+def test_scenario_key_table_for_a_declared_table_is_required(check_docs, tmp_path):
+    text = (REPO / "docs" / "scenarios.md").read_text()
+    table = ("| Key | Default | Meaning |\n|---|---|---|\n"
+             "| `servers` | `1` | storage servers, one on each of the last "
+             "`servers` terminal nodes |\n")
+    assert table in text
+    p = tmp_path / "scenarios.md"
+    p.write_text(text.replace(table, ""))
+    with pytest.raises(AssertionError, match=r"no .* table for the \[storage\] keys"):
+        check_docs.check_scenario_key_tables(p)
