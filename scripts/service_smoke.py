@@ -43,7 +43,7 @@ TINY = {
 }
 
 #: Endless uniform traffic over a long horizon: slow enough (over 1 s
-#: wall) that a kill lands mid-run, well inside the monitor's 0.1 s tick.
+#: wall) that a kill lands mid-run.
 LONG = {
     "name": "smoke-long",
     "seed": 5,

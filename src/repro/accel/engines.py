@@ -198,7 +198,6 @@ class KernelEngine(Engine):
             self.heap_peak = kern.heap_peak
             self.committed_by_partition = kern.committed_by_partition()
             self._origin = -1
-        self._run_end_hooks()
         return kern.now
 
 

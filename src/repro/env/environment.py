@@ -48,12 +48,11 @@ from repro.scenario.runner import (
     reduce_scenario_result,
 )
 from repro.scenario.spec import (
-    ENV_REWARDS,
     EnvEntry,
-    ScenarioError,
     ScenarioSpec,
+    entry_dict,
     load_scenario,
-    parse_policy_table,
+    parse_env_table,
     parse_scenario,
 )
 from repro.union.policy import (
@@ -149,22 +148,13 @@ class SimulationEnv:
         reward: str | None = None,
     ) -> None:
         self.spec = coerce_spec(spec)
-        cfg = self.spec.env or EnvEntry()
-        self.policy_table = (
-            parse_policy_table(policy) if policy is not None
-            else dict(cfg.policy)
-        )
-        self.window = window if window is not None else (
-            cfg.window if cfg.window is not None else self.spec.horizon / 8
-        )
-        if not self.window > 0:
-            raise ScenarioError(f"env window must be > 0, got {self.window!r}")
-        self.reward_kind = reward if reward is not None else cfg.reward
-        if self.reward_kind not in ENV_REWARDS:
-            raise ScenarioError(
-                f"unknown reward {self.reward_kind!r}; "
-                f"choose from {list(ENV_REWARDS)}"
-            )
+        given = {"policy": policy, "window": window, "reward": reward}
+        cfg = parse_env_table({**entry_dict(self.spec.env or EnvEntry()),
+                               **{k: v for k, v in given.items() if v is not None}},
+                              self.spec.horizon)
+        self.policy_table = dict(cfg.policy)
+        self.window = cfg.window if cfg.window is not None else self.spec.horizon / 8
+        self.reward_kind = cfg.reward
         self.action_space = DiscreteSpace(self.ACTIONS)
         topo = build_scenario_topology(self.spec)
         self.observation_space = BoxSpace(observation_names(topo.n_routers))

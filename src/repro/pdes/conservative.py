@@ -213,5 +213,4 @@ class ConservativeEngine(Engine):
                 self.max_window_events = window_events
         if not budget_hit and self.now < until < float("inf"):
             self.now = until
-        self._run_end_hooks()
         return self.now

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from repro.pdes.event import Event, Priority
 from repro.pdes.lp import LP
@@ -69,7 +69,6 @@ class Engine:
         self._origin: int = -1
         self._origin_seq: list[int] = [0]
         self.events_processed: int = 0
-        self._end_hooks: list[Callable[[], None]] = []
 
     # -- topology of the model -------------------------------------------
     def register(self, lp: LP, partition: int | None = None) -> int:
@@ -85,9 +84,6 @@ class Engine:
         self.lps.append(lp)
         self._origin_seq.append(0)
         return lp_id
-
-    def register_all(self, lps: Iterable[LP]) -> list[int]:
-        return [self.register(lp) for lp in lps]
 
     def partition_of(self, lp_id: int) -> int:
         """The partition executing ``lp_id`` (always 0 when unpartitioned)."""
@@ -180,15 +176,6 @@ class Engine:
         is exactly :meth:`schedule_at`.
         """
         return self.schedule_at(time, dst, kind, data, priority, src)
-
-    # -- hooks -------------------------------------------------------------
-    def add_end_hook(self, fn: Callable[[], None]) -> None:
-        """Register a callable invoked once when :meth:`run` returns."""
-        self._end_hooks.append(fn)
-
-    def _run_end_hooks(self) -> None:
-        for fn in self._end_hooks:
-            fn()
 
     # -- what the layers above ask of every engine --------------------------
     def adopt_fabric(self, fabric: Any) -> None:

@@ -94,5 +94,4 @@ class SequentialEngine(Engine):
             # the clock to the horizon so windowed statistics cover the full
             # requested interval.  A budget stop keeps the last event time.
             self.now = until
-        self._run_end_hooks()
         return self.now

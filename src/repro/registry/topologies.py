@@ -32,10 +32,12 @@ from repro.network.fattree import FatTreeTopology
 from repro.network.slimfly import SlimFlyTopology
 from repro.network.torus import TorusTopology
 from repro.pdes import collector
-from repro.registry.core import ComponentSpec, Param, Registry, RegistryError, _err
+from repro.registry.core import ComponentSpec, Param, Registry
 
 #: Scales every topology must provide a preset for.
 SCALES = ("mini", "paper")
+#: The ``scale`` key of every ``[topology]`` table: the preset to overlay.
+SCALE_PARAM = Param("scale", "str", "size preset", default="mini", choices=SCALES)
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,7 @@ def resolve_topology_params(
     ``scale`` naming a preset plus explicit parameter overrides.
     """
     table = dict(table)
-    scale = table.pop("scale", "mini")
-    if not isinstance(scale, str) or scale not in SCALES:
-        raise _err(f"{path}.scale",
-                   f"unknown scale {scale!r}; expected one of {list(SCALES)}")
+    scale = SCALE_PARAM.validate(table.pop("scale", SCALE_PARAM.default), path)
     params = dict(spec.presets[scale])
     params.update(spec.validate_params(table, path, kind="topology"))
     return params

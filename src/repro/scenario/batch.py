@@ -3,7 +3,7 @@
 ``union-sim batch <dir>`` discovers every ``*.toml``/``*.json`` spec
 under a directory, runs each scenario (sequentially, or across worker
 processes with ``--jobs N`` -- scenarios are independent simulations, so
-they parallelize embarrassingly via :mod:`multiprocessing`), and reduces
+they parallelize embarrassingly on :mod:`repro.pool`), and reduces
 everything to one summary table plus an optional JSON report.  A spec
 that fails to parse or crashes mid-run is reported alongside the
 successes instead of aborting the rest of the batch.
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.harness.report import format_seconds, render_table
+from repro.pool import WorkerCrashed, WorkerPool
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import (
     MetricsEntry,
@@ -35,53 +34,41 @@ def pool_map(fn, items, workers: int = 1,
     """Map ``fn`` over ``items``, optionally across a process pool.
 
     The shared fan-out helper of the batch runner, the harness sweeps,
-    and the fuzz harness: simulations are independent, so they
-    parallelize embarrassingly; results always come back in input
-    order, and ``workers <= 1`` (or a single item) stays in-process so
-    callers get identical behavior with no pool overhead.  ``fn`` and
-    the items must be picklable when ``workers > 1``.
+    the fuzz harness and episode seed-batches: results always come back
+    in input order, and ``workers <= 1`` (or a single item) stays
+    in-process.  Otherwise a :class:`~repro.pool.WorkerPool` of spawned
+    processes runs it, so ``fn`` and the items must pickle.
 
-    A worker process that *dies* mid-item (SIGKILL, OOM) must not hang
-    or sink the batch: every item whose future the broken pool
-    poisoned is retried alone in a fresh single-worker pool, so
-    innocent bystanders still produce results; an item that kills its
-    worker again is mapped through ``on_crash(item)`` -- the hook
-    batch-style callers use to produce per-item error entries.  With
-    no hook, the :class:`BrokenProcessPool` propagates.
+    A worker that *dies* mid-item (SIGKILL, OOM) costs a re-run of that
+    item alone, on a respawned worker; an item that kills its worker
+    twice maps through ``on_crash(item)`` (batch-style callers' per-item
+    error entries) or, with no hook, raises :class:`~repro.pool.WorkerCrashed`.
     """
     items = list(items)
-    if workers > 1 and len(items) > 1:
-        return _pool_map_processes(fn, items, min(workers, len(items)),
-                                   on_crash)
-    return [fn(i) for i in items]
-
-
-def _pool_map_processes(fn, items: list, workers: int, on_crash) -> list:
+    if workers <= 1 or len(items) <= 1:
+        return [fn(i) for i in items]
     results: dict[int, Any] = {}
-    retry: list[int] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except BrokenProcessPool:
-                # One dead worker poisons every pending future; which
-                # item actually killed it is unknowable from here.
-                retry.append(i)
-    for i in retry:
-        # Isolate each suspect: a fresh single-worker pool per item
-        # convicts exactly the item that crashes it.
-        try:
-            with ProcessPoolExecutor(max_workers=1) as solo:
-                results[i] = solo.submit(fn, items[i]).result()
-        except BrokenProcessPool:
-            if on_crash is None:
-                raise BrokenProcessPool(
-                    f"worker process died while mapping item {i} "
-                    f"({items[i]!r}); pass on_crash= to turn crashes "
-                    "into per-item results"
-                )
-            results[i] = on_crash(items[i])
+    crashed: set[int] = set()
+    with WorkerPool(min(workers, len(items))) as pool:
+        for i, item in enumerate(items):
+            pool.submit(i, fn, item)
+        while len(results) < len(items):
+            for kind, i, value in pool.step():
+                if kind == "done":
+                    results[i] = value
+                elif kind == "error":
+                    raise value
+                elif kind == "died" and i not in crashed:
+                    crashed.add(i)
+                    pool.submit(i, fn, items[i])
+                elif kind == "died" and on_crash is not None:
+                    results[i] = on_crash(items[i])
+                elif kind == "died":
+                    raise WorkerCrashed(
+                        f"worker process died twice while mapping item {i} "
+                        f"({items[i]!r}); pass on_crash= to turn crashes "
+                        "into per-item results"
+                    )
     return [results[i] for i in range(len(items))]
 
 
@@ -104,7 +91,7 @@ def run_spec_file(
 ) -> dict[str, Any]:
     """Run one spec file; always returns a JSON-able dict.
 
-    Shaped for :class:`multiprocessing.Pool` workers: errors become
+    Shaped for pool workers: errors become
     ``{"scenario", "path", "error"}`` records instead of exceptions, so
     one broken spec cannot take down a batch.
 

@@ -31,7 +31,6 @@ from typing import Any, ClassVar
 
 from repro.harness.configs import NETWORKS, default_horizon
 from repro.registry import (
-    SCALES,
     RegistryError,
     TopologySpec,
     all_routing_names,
@@ -44,6 +43,7 @@ from repro.registry import (
     topology_registry,
 )
 from repro.registry.core import Param, key_path
+from repro.registry.topologies import SCALE_PARAM
 from repro.telemetry import metric_segment
 from repro.workloads.catalog import app_catalog
 
@@ -448,7 +448,7 @@ class ScenarioSpec:
 TOPOLOGY_PARAMS = (
     Param("network", "str", "legacy dragonfly sugar", default="1d",
           choices=NETWORKS),
-    Param("scale", "str", "size preset", default="mini", choices=SCALES),
+    SCALE_PARAM,
     Param("type", "str", "registry topology", default=None),
 )
 
@@ -491,6 +491,18 @@ def parse_policy_table(raw: Any, path: str = "policy") -> dict[str, Any]:
     """
     return _component_table(policy_registry,
                             {"type": raw} if isinstance(raw, str) else raw, path)
+
+
+def parse_env_table(raw: Mapping, horizon: float) -> EnvEntry:
+    """Validate one ``[env]`` table of a scenario running to ``horizon``
+    (also ``SimulationEnv``'s overrides, merged over the spec's own table)."""
+    env = EnvEntry(**_read(raw, EnvEntry.PARAMS, "env"))
+    env.policy = parse_policy_table(env.policy, path="env.policy")
+    if env.window is not None and env.window > horizon:
+        raise _err("env.window",
+                   f"one step window ({env.window:g}s) exceeds the "
+                   f"horizon ({horizon:g}s)")
+    return env
 
 
 def parse_engine_table(raw: Mapping) -> dict[str, Any]:
@@ -713,9 +725,8 @@ def parse_scenario(
     # Fabric-wide defaults come from the topology's registry entry
     # ("adp"/"rg" on dragonflies, exactly the historical defaults).
     _check_policies(top, "", topo_spec)
-    env = _entry(top["env"], EnvEntry, "env")
-    if env is not None:
-        env.policy = parse_policy_table(env.policy, path="env.policy")
+    horizon = default_horizon(scale) if top["horizon"] is None else top["horizon"]
+    env = None if top["env"] is None else parse_env_table(top["env"], horizon)
     spec = ScenarioSpec(
         name=(name or "scenario") if top["name"] is None else top["name"],
         network=network,
@@ -723,7 +734,7 @@ def parse_scenario(
         routing=top["routing"] or topo_spec.default_routing,
         placement=top["placement"] or topo_spec.default_placement,
         seed=top["seed"],
-        horizon=default_horizon(scale) if top["horizon"] is None else top["horizon"],
+        horizon=horizon,
         counter_window=top["counter_window"],
         jobs=jobs,
         traffic=traffic,
@@ -743,10 +754,6 @@ def parse_scenario(
                        "scenario has no [storage] table; add one "
                        "(e.g. servers = 2) so there are servers to slow down")
     _check_fault_capabilities(spec, topo_spec)
-    if env is not None and env.window is not None and env.window > spec.horizon:
-        raise _err("env.window",
-                   f"one step window ({env.window:g}s) exceeds the "
-                   f"horizon ({spec.horizon:g}s)")
     return spec
 
 

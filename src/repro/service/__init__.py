@@ -16,7 +16,7 @@ long-lived service:
 * :mod:`repro.service.jobs`       -- the journaled job store
   (:class:`JobRecord` / :class:`JobStore`), durable across restarts;
 * :mod:`repro.service.server`     -- :class:`SimulationServer`, a
-  persistent worker pool (warm interpreters, spawn context) behind an
+  persistent :mod:`repro.pool` worker pool (warm interpreters) behind an
   async job queue with dead-worker detection; a dead worker's job is
   requeued and re-run from its journaled spec;
 * :mod:`repro.service.http`       -- the stdlib HTTP transport

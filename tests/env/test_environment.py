@@ -197,9 +197,11 @@ def test_env_table_configures_environment():
 
 
 def test_bad_env_arguments():
-    with pytest.raises(ScenarioError, match="window must be > 0"):
+    with pytest.raises(ScenarioError, match="env.window: must be > 0"):
         _env(window=0.0)
-    with pytest.raises(ScenarioError, match="unknown reward"):
+    with pytest.raises(ScenarioError, match="env.window: one step window"):
+        _env(window=0.02)  # the horizon is 0.01 s, as for an [env] table
+    with pytest.raises(ScenarioError, match="env.reward: 'profit' is not one of"):
         _env(reward="profit")
     with pytest.raises(ScenarioError, match="unknown policy"):
         _env(policy="nope")

@@ -119,17 +119,6 @@ def test_unknown_destination_rejected():
         eng.schedule_at(1.0, 0, "x")
 
 
-def test_end_hooks_called_once_per_run():
-    eng = SequentialEngine()
-    rec = Recorder()
-    eng.register(rec)
-    calls = []
-    eng.add_end_hook(lambda: calls.append(1))
-    eng.schedule_at(1.0, rec.lp_id, "e")
-    eng.run()
-    assert calls == [1]
-
-
 def test_peek_time():
     eng = SequentialEngine()
     rec = Recorder()
@@ -178,10 +167,3 @@ def test_schedule_fast_skips_validation():
     eng.schedule_fast(1.0, 99, "x")
     with pytest.raises(IndexError):
         eng.run()
-
-
-def test_register_all():
-    eng = SequentialEngine()
-    ids = eng.register_all([Recorder(), Recorder(), Recorder()])
-    assert ids == [0, 1, 2]
-    assert [lp.lp_id for lp in eng.lps] == ids

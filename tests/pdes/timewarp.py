@@ -171,7 +171,6 @@ class TimeWarpEngine(Engine):
         # run uses -1 (never equal) and ``max_events=0`` commits nothing.
         budget = -1 if max_events is None else max_events
         if budget == 0:
-            self._run_end_hooks()
             return self.now
         executed = 0
         rounds = 0
@@ -215,4 +214,3 @@ class TimeWarpEngine(Engine):
         self.now = max(committed) if committed else self.now
         if self.now < until < float("inf"):
             self.now = until
-        self._run_end_hooks()

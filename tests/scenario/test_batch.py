@@ -119,19 +119,68 @@ def test_pool_map_turns_a_dead_worker_into_a_per_item_result():
 
     out = pool_map(_double_or_die, [1, -1, 2, 3], workers=2,
                    on_crash=lambda item: {"crashed": item})
-    # Innocent bystanders whose futures the broken pool poisoned are
-    # retried and succeed; only the killer maps through on_crash --
-    # and results stay in input order.
+    # Innocent bystanders succeed; only the killer maps through
+    # on_crash -- and results stay in input order.
     assert out == [2, {"crashed": -1}, 4, 6]
 
 
-def test_pool_map_without_on_crash_raises_broken_pool():
-    from concurrent.futures.process import BrokenProcessPool
+def test_pool_map_without_on_crash_raises_worker_crashed():
+    from repro.pool import WorkerCrashed
+    from repro.scenario import pool_map
+
+    with pytest.raises(WorkerCrashed, match="pass on_crash="):
+        pool_map(_double_or_die, [1, -1, 2], workers=2)
+
+
+def _log_start_then_double_or_die(log, n):
+    """Append ``<item> <pid>`` to ``log`` at each start, then work 0.3 s
+    (negative items kill their worker instead)."""
+    import os
+    import time
+
+    with open(log, "a") as fh:
+        fh.write(f"{n} {os.getpid()}\n")
+    time.sleep(0.3)
+    return _double_or_die(n)
+
+
+def test_pool_map_crash_reruns_only_the_killer_and_keeps_its_workers(tmp_path):
+    from functools import partial
 
     from repro.scenario import pool_map
 
-    with pytest.raises(BrokenProcessPool, match="pass on_crash="):
-        pool_map(_double_or_die, [1, -1, 2], workers=2)
+    log = tmp_path / "starts.log"
+    out = pool_map(partial(_log_start_then_double_or_die, str(log)),
+                   [1, -1, 2, 3, 4], workers=2,
+                   on_crash=lambda item: {"crashed": item})
+    assert out == [2, {"crashed": -1}, 4, 6, 8]
+    starts = [line.split() for line in log.read_text().splitlines()]
+    items = sorted(int(item) for item, _ in starts)
+    # The killer runs twice (once re-run); every other item exactly once.
+    assert items == [-1, -1, 1, 2, 3, 4]
+    # The innocent items ran on the two first workers plus one respawn,
+    # not on a fresh process each.
+    assert len({pid for item, pid in starts if item != "-1"}) <= 3
+
+
+_SEEN_BY_WORKERS = "as imported"
+
+
+def _read_module_global(_):
+    return _SEEN_BY_WORKERS
+
+
+def test_pool_map_workers_are_spawned_not_forked(monkeypatch):
+    import sys
+
+    from repro.scenario import pool_map
+
+    monkeypatch.setattr(sys.modules[__name__], "_SEEN_BY_WORKERS",
+                        "changed in the parent")
+    # A spawned worker re-imports this module; a forked one would see
+    # the parent's change.
+    assert pool_map(_read_module_global, [0, 1], workers=2) == \
+        ["as imported", "as imported"]
 
 
 def test_pool_map_single_worker_stays_in_process():
@@ -145,3 +194,42 @@ def test_pool_map_single_worker_stays_in_process():
 
     assert pool_map(tracked, [1, 2, 3], workers=1) == [1, 2, 3]
     assert calls == [1, 2, 3]  # in-process: closures are fine
+
+
+def test_worker_pool_takes_submits_from_many_threads():
+    """The service submits from HTTP handler threads while its monitor
+    drives the pool: no submit may be lost or run twice."""
+    import operator
+    import sys
+    import threading
+    import time
+
+    from repro.pool import WorkerPool
+
+    keys = [(t, i) for t in range(4) for i in range(25)]
+    done: dict = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with WorkerPool(3) as pool:  # more workers than this host's cores
+            def submit_all(t):
+                for i in range(25):
+                    pool.submit((t, i), operator.neg, 100 * t + i)
+
+            threads = [threading.Thread(target=submit_all, args=(t,))
+                       for t in range(4)]
+            for th in threads:
+                th.start()
+            deadline = time.monotonic() + 60.0
+            while len(done) < len(keys) and time.monotonic() < deadline:
+                for kind, key, value in pool.step(timeout=1.0):
+                    if kind != "start":
+                        assert kind == "done" and key not in done
+                        done[key] = value
+            for th in threads:
+                th.join(timeout=10.0)
+                assert not th.is_alive()
+            assert pool.counts() == {"alive": 3, "busy": 0}
+    finally:
+        sys.setswitchinterval(old)
+    assert done == {(t, i): -(100 * t + i) for t, i in keys}
