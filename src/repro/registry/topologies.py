@@ -32,7 +32,7 @@ from repro.network.fattree import FatTreeTopology
 from repro.network.slimfly import SlimFlyTopology
 from repro.network.torus import TorusTopology
 from repro.pdes import collector
-from repro.registry.core import ComponentSpec, Param, Registry
+from repro.registry.core import ComponentSpec, Param, Registry, _err, key_path
 
 #: Scales every topology must provide a preset for.
 SCALES = ("mini", "paper")
@@ -104,7 +104,10 @@ def resolve_topology_params(
     ``scale`` naming a preset plus explicit parameter overrides.
     """
     table = dict(table)
-    scale = SCALE_PARAM.validate(table.pop("scale", SCALE_PARAM.default), path)
+    scale = table.pop("scale", SCALE_PARAM.default)
+    if not isinstance(scale, str) or scale not in SCALES:
+        raise _err(key_path(path, "scale"),
+                   f"unknown scale {scale!r}; expected one of {list(SCALES)}")
     params = dict(spec.presets[scale])
     params.update(spec.validate_params(table, path, kind="topology"))
     return params
